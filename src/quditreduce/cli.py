@@ -13,6 +13,7 @@ cross-check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -192,6 +193,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
+def _checked(convert, ok, requirement):
+    """argparse type: ``convert`` the text and require ``ok`` of the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quditreduce",
@@ -216,13 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="reduced state file (default: <input>.reduced.json)")
     p.add_argument("--trace", help="rotation trace file (default: <input>.trace.json)")
     p.add_argument("--report", help="report file (default: <input>.report.json)")
-    p.add_argument("--eps", type=float, default=1e-12,
+    p.add_argument("--eps", default=1e-12,
+                   type=_checked(float, lambda v: 0 < v < math.inf,
+                                 "a finite number > 0"),
                    help="convergence threshold on target magnitudes")
     p.add_argument("--strategy", choices=["greedy", "round-robin"],
                    default="greedy")
-    p.add_argument("--max-iters", type=int, default=10000,
+    p.add_argument("--max-iters", default=10000,
+                   type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                    help="elimination cap per stage")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", default=None,
+                   type=_checked(float, lambda v: 0 <= v < math.inf,
+                                 "a finite number >= 0"),
                    help="support-count threshold (default 10*eps)")
     p.set_defaults(func=cmd_reduce)
 

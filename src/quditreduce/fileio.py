@@ -10,6 +10,7 @@ and flagged; anything worse is rejected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -31,22 +32,31 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(a) -> list:
+    """A complex array as nested lists ending in [re, im] pairs."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+
+
+def _is_pair(p) -> bool:
+    """A JSON [re, im] number pair; type() rather than isinstance() so
+    that booleans are rejected."""
+    return (type(p) is list and len(p) == 2
+            and type(p[0]) in (int, float) and type(p[1]) in (int, float))
+
+
+def _complex(pairs: list) -> np.ndarray:
+    """Checked [re, im] pairs as a complex vector."""
+    flat = itertools.chain.from_iterable(pairs)
+    return np.fromiter(flat, np.float64, 2 * len(pairs)).view(np.complex128)
 
 
 def _parse_pairs(raw, what: str) -> np.ndarray:
     _require(isinstance(raw, list), f"{what} must be a list of [re, im] pairs")
-    out = np.empty(len(raw), dtype=np.complex128)
     for i, pair in enumerate(raw):
-        _require(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in pair),
-            f"{what}[{i}] is not a [re, im] number pair",
-        )
-        out[i] = complex(pair[0], pair[1])
-    return out
+        if not _is_pair(pair):
+            raise ValueError(f"{what}[{i}] is not a [re, im] number pair")
+    return _complex(raw)
 
 
 def read_state_file(path):
@@ -99,7 +109,7 @@ def save_state(path, state: PureState, *, seed: int | None = None) -> None:
         "format": STATE_FORMAT,
         "n": state.n,
         "l": state.l,
-        "amplitudes": [_pair(z) for z in state.amplitudes],
+        "amplitudes": _pairs(state.amplitudes),
     }
     if seed is not None:
         doc["seed"] = int(seed)
@@ -119,8 +129,7 @@ def save_trace(path, trace: DecompositionTrace) -> None:
                 "site": r.site,
                 "level_a": r.level_a,
                 "level_b": r.level_b,
-                "entries": [[_pair(r.entries[0, 0]), _pair(r.entries[0, 1])],
-                            [_pair(r.entries[1, 0]), _pair(r.entries[1, 1])]],
+                "entries": _pairs(r.entries),
             }
             for r in trace.rotations
         ],
@@ -140,24 +149,26 @@ def load_trace(path):
     _require(isinstance(l, int) and l >= 1, "field 'l' must be an integer >= 1")
     raw = doc.get("rotations")
     _require(isinstance(raw, list), "field 'rotations' must be a list")
-    rotations = []
+    fields, pairs = [], []
     for i, r in enumerate(raw):
         _require(isinstance(r, dict), f"rotations[{i}] must be an object")
         try:
             stage, site = int(r["stage"]), int(r["site"])
             a, b = int(r["level_a"]), int(r["level_b"])
-            e = r["entries"]
-            entries = np.array(
-                [[complex(*e[0][0]), complex(*e[0][1])],
-                 [complex(*e[1][0]), complex(*e[1][1])]],
-                dtype=np.complex128,
-            )
-        except (KeyError, TypeError, IndexError) as exc:
+            (e00, e01), (e10, e11) = r["entries"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
+        if not (_is_pair(e00) and _is_pair(e01)
+                and _is_pair(e10) and _is_pair(e11)):
+            raise ValueError(f"rotations[{i}] is malformed: entries must be "
+                             f"[re, im] number pairs")
         _require(0 <= site < l and 0 <= a < b < n,
                  f"rotations[{i}] has out-of-range site or levels")
-        rotations.append(LocalRotation(stage=stage, site=site, level_a=a,
-                                       level_b=b, entries=entries))
+        fields.append((stage, site, a, b))
+        pairs += (e00, e01, e10, e11)
+    # One conversion for all entries; each rotation gets a 2x2 view.
+    rotations = [LocalRotation(*f, entries=e)
+                 for f, e in zip(fields, _complex(pairs).reshape(-1, 2, 2))]
     return n, l, float(doc.get("original_norm", 1.0)), rotations
 
 
@@ -189,7 +200,6 @@ def report_to_dict(report: ReductionReport, *, tool_version: str,
                 "stage": s.stage,
                 "iterations": s.iterations,
                 "residual": s.residual,
-                "residual_sq_sum": s.residual_sq_sum,
                 "converged": s.converged,
                 "anchor_history": list(s.anchor_history),
                 "pivot_history": list(s.pivot_history),

@@ -41,9 +41,6 @@ class LocalRotation:
     level_b: int
     entries: np.ndarray
 
-    def inverse_entries(self) -> np.ndarray:
-        return self.entries.conj().T
-
 
 @dataclass
 class StageTarget:
@@ -62,8 +59,10 @@ class StageReport:
 
     anchor_history[0] is the anchor magnitude before the first step and
     anchor_history[N] the magnitude after step N; pivot_history[N-1] is
-    the magnitude of the target eliminated at step N. residual is the
-    maximum target magnitude when the loop stopped.
+    the magnitude of the target eliminated at step N: the largest one
+    under greedy, the next one at or above epsilon in cyclic flat order
+    under round-robin. residual is the maximum target magnitude when the
+    loop stopped.
     """
 
     stage: int
@@ -72,8 +71,6 @@ class StageReport:
     anchor_history: list[float]
     pivot_history: list[float]
     converged: bool
-    #: Auxiliary only; convergence is judged on the max-magnitude residual.
-    residual_sq_sum: float = 0.0
 
 
 @dataclass
@@ -126,8 +123,9 @@ def zeroing_rotation(anchor_amp, target_amp) -> np.ndarray:
 
 def term_bound(n: int, l: int) -> int:
     """Maximum surviving term count after a converged reduction:
-    n**l - n(n-1)l/2."""
-    return n**l - n * (n - 1) * l // 2
+    n**l - n(n-1)l/2 for l >= 2. A single site keeps 1 term: its stage-0
+    targets are all levels but |0>, so later stages find nothing left."""
+    return 1 if l == 1 else n**l - n * (n - 1) * l // 2
 
 
 def support_count(state: PureState, threshold: float) -> int:
@@ -152,26 +150,50 @@ def stage_targets(n: int, l: int, k: int) -> list[StageTarget]:
     return targets
 
 
-def _anchor_flat(n: int, l: int, k: int) -> int:
-    return index_encode((k,) * l, n)
+def eliminate_stage(state: PureState, k: int, strategy: str = "greedy",
+                    epsilon: float = DEFAULT_EPSILON,
+                    max_iters: int = DEFAULT_MAX_ITERS):
+    """Drive every stage-k target below epsilon.
 
+    Each step zeroes one target at or above epsilon against the anchor:
+    greedy picks the largest (smallest flat index on ties), round-robin
+    the next one after its previous pick, cycling in flat order. A step
+    never shrinks the anchor, so the eliminated magnitudes are
+    square-summable and the loop terminates for any epsilon > 0 in exact
+    arithmetic; max_iters is the practical stop.
 
-def _run_stage(work: np.ndarray, n: int, l: int, k: int, strategy: str,
-               epsilon: float, max_iters: int):
-    """Elimination loop on a raw amplitude vector, mutating ``work``.
-
-    Returns (rotations, StageReport); raises NonConvergenceError with
-    the partial rotation list attached when max_iters is exhausted.
+    Returns (new state, rotations, StageReport). Raises
+    NonConvergenceError carrying the stage's partial trace and report
+    when max_iters is exhausted.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    n, l = state.n, state.l
     targets = stage_targets(n, l, k)
     flats = np.array([index_encode(t.index, n) for t in targets])
-    anchor = _anchor_flat(n, l, k)
+    anchor = index_encode((k,) * l, n)
+    work = state.amplitudes.copy()
 
     rotations: list[LocalRotation] = []
     anchor_history = [float(abs(work[anchor]))]
     pivot_history: list[float] = []
-
-    def eliminate(target: StageTarget, flat: int) -> None:
+    cursor = 0
+    while True:
+        mags = np.abs(work[flats])
+        # argmax returns the first maximum; targets are in ascending flat
+        # order, which implements the greedy smallest-flat tie-break.
+        j = int(np.argmax(mags))
+        residual = float(mags[j])
+        converged = residual < epsilon
+        if converged or len(rotations) >= max_iters:
+            break
+        if strategy == "round-robin":
+            live = np.flatnonzero(mags >= epsilon)
+            j = int(live[np.searchsorted(live, cursor) % live.size])
+            cursor = j + 1
+        target, flat = targets[j], int(flats[j])
         rot = zeroing_rotation(work[anchor], work[flat])
         pivot_history.append(float(abs(work[flat])))
         rotate_pair_inplace(work, n, l, target.site, k, target.digit, rot)
@@ -179,79 +201,20 @@ def _run_stage(work: np.ndarray, n: int, l: int, k: int, strategy: str,
         rotations.append(LocalRotation(stage=k, site=target.site, level_a=k,
                                        level_b=target.digit, entries=rot))
 
-    def fail(residual: float):
-        report = StageReport(
-            stage=k, iterations=len(rotations), residual=residual,
-            anchor_history=anchor_history, pivot_history=pivot_history,
-            converged=False,
-            residual_sq_sum=float(np.sum(np.abs(work[flats]) ** 2)),
-        )
-        trace = DecompositionTrace(
-            original_norm=float(np.linalg.norm(work)),
-            rotations=list(rotations),
-            final_state=PureState(n, l, work.copy()),
-        )
-        raise NonConvergenceError(
-            f"stage {k} ({strategy}) still at residual {residual:.3e} "
-            f"after {max_iters} eliminations (epsilon {epsilon:.1e})",
-            residual=residual, trace=trace, report=report,
-        )
-
-    while True:
-        mags = np.abs(work[flats])
-        if strategy == "greedy":
-            # argmax returns the first maximum; targets are in ascending
-            # flat order, which implements the smallest-flat tie-break.
-            j = int(np.argmax(mags))
-            residual = float(mags[j])
-            if residual < epsilon:
-                break
-            if len(rotations) >= max_iters:
-                fail(residual)
-            eliminate(targets[j], int(flats[j]))
-        else:
-            residual = float(np.max(mags))
-            if residual < epsilon:
-                break
-            # One full pass, skipping targets already below epsilon.
-            for target, flat in zip(targets, flats):
-                if abs(work[flat]) < epsilon:
-                    continue
-                if len(rotations) >= max_iters:
-                    fail(float(np.max(np.abs(work[flats]))))
-                eliminate(target, int(flat))
-
     report = StageReport(
         stage=k, iterations=len(rotations), residual=residual,
         anchor_history=anchor_history, pivot_history=pivot_history,
-        converged=True,
-        residual_sq_sum=float(np.sum(np.abs(work[flats]) ** 2)),
+        converged=converged,
     )
-    return rotations, report
-
-
-def eliminate_stage(state: PureState, k: int, strategy: str = "greedy",
-                    epsilon: float = DEFAULT_EPSILON,
-                    max_iters: int = DEFAULT_MAX_ITERS):
-    """Drive every stage-k target below epsilon.
-
-    greedy picks the largest-magnitude target each step (smallest flat
-    index on ties); round-robin sweeps the targets in order, skipping
-    those already below epsilon. Either way each step zeroes its target
-    exactly and never shrinks the anchor, so the eliminated magnitudes
-    are square-summable and the loop terminates for any epsilon > 0 in
-    exact arithmetic; max_iters is the practical stop.
-
-    Returns (new state, rotations, StageReport).
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    work = state.amplitudes.copy()
-    rotations, report = _run_stage(work, state.n, state.l, k, strategy,
-                                   epsilon, max_iters)
-    return PureState(state.n, state.l, work), rotations, report
+    out = PureState(n, l, work)
+    if not converged:
+        raise NonConvergenceError(
+            f"stage {k} ({strategy}) still at residual {residual:.3e} "
+            f"after {max_iters} eliminations (epsilon {epsilon:.1e})",
+            residual=residual, report=report,
+            trace=DecompositionTrace(out.norm, rotations, out),
+        )
+    return out, rotations, report
 
 
 def reduce(state: PureState, strategy: str = "greedy",
@@ -276,37 +239,26 @@ def reduce(state: PureState, strategy: str = "greedy",
         support_before=support_count(state, support_threshold),
         bound=term_bound(n, l),
     )
-    original_norm = state.norm
     rotations: list[LocalRotation] = []
     current = state
     earlier_flats: list[int] = []
+    failure = None
 
     for k in range(n - 1):
         try:
             current, stage_rots, stage_report = eliminate_stage(
                 current, k, strategy, epsilon, max_iters_per_stage)
         except NonConvergenceError as exc:
-            # Fold the failed stage's partial work into a run-level
-            # trace/report before re-raising.
-            if exc.report is not None:
-                report.stages.append(exc.report)
-            partial = current
-            if exc.trace is not None:
-                rotations.extend(exc.trace.rotations)
-                partial = exc.trace.final_state
-            report.converged = False
-            report.support_after = support_count(partial, support_threshold)
-            report.norm_drift = float(abs(partial.norm - 1.0))
-            exc.report = report
-            exc.trace = DecompositionTrace(original_norm, rotations, partial)
-            raise
+            failure = exc
+            rotations.extend(exc.trace.rotations)
+            report.stages.append(exc.report)
+            current = exc.trace.final_state
+            break
         rotations.extend(stage_rots)
         report.stages.append(stage_report)
 
-        if earlier_flats:
-            drift = float(np.max(np.abs(current.amplitudes[earlier_flats])))
-        else:
-            drift = 0.0
+        drift = float(np.max(np.abs(current.amplitudes[earlier_flats]),
+                             initial=0.0))
         report.stage_preservation.append(drift)
         if drift > PRESERVATION_FACTOR * epsilon:
             raise InternalConsistencyError(
@@ -316,10 +268,13 @@ def reduce(state: PureState, strategy: str = "greedy",
         earlier_flats.extend(index_encode(t.index, n)
                              for t in stage_targets(n, l, k))
 
-    report.converged = all(s.converged for s in report.stages)
+    report.converged = failure is None
     report.support_after = support_count(current, support_threshold)
     report.norm_drift = float(abs(current.norm - 1.0))
-    trace = DecompositionTrace(original_norm, rotations, current)
+    trace = DecompositionTrace(state.norm, rotations, current)
+    if failure is not None:
+        failure.trace, failure.report = trace, report
+        raise failure
     return trace, report
 
 
@@ -330,7 +285,7 @@ def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
     work = np.array(amplitudes, dtype=np.complex128)
     for rot in reversed(list(rotations)):
         rotate_pair_inplace(work, n, l, rot.site, rot.level_a, rot.level_b,
-                            rot.inverse_entries())
+                            rot.entries.conj().T)
     return work
 
 

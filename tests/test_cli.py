@@ -54,6 +54,25 @@ class TestRandom:
                   "--output", str(tmp_path / "s.json")])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--threshold", "-1"), ("--threshold", "nan"), ("--threshold", "inf"),
+        ("--max-iters", "-5"), ("--max-iters", "0"), ("--max-iters", "1.5"),
+    ])
+    def test_bad_reduce_numbers_exit_1(self, tmp_path, capsys, flag, value):
+        path = bell_file(tmp_path / "bell.json")
+        with pytest.raises(SystemExit) as info:
+            main(["reduce", "--input", str(path), flag, value])
+        assert info.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "bell.report.json").exists()
+
+    def test_boundary_reduce_numbers_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["reduce", "--input", "s.json", "--eps", "5e-324",
+             "--threshold", "0", "--max-iters", "1"])
+        assert (args.eps, args.threshold, args.max_iters) == (5e-324, 0.0, 1)
+
 
 class TestReduce:
     def test_bell_state(self, tmp_path):

@@ -175,11 +175,18 @@ class TestTraceFiles:
         trace, _ = reduce(s)
         path = tmp_path / "t.json"
         save_trace(path, trace)
-        doc = json.loads(path.read_text())
-        del doc["rotations"][0]["entries"]
-        write_doc(path, doc)
-        with pytest.raises(ValueError, match="malformed"):
-            load_trace(path)
+        good = json.loads(path.read_text())
+        # A missing matrix, then pairs read_state_file also rejects:
+        # empty, boolean, and a one-element string list.
+        for bad in (None, [], [True, False], ["1"]):
+            doc = json.loads(json.dumps(good))
+            if bad is None:
+                del doc["rotations"][0]["entries"]
+            else:
+                doc["rotations"][0]["entries"][1][0] = bad
+            write_doc(path, doc)
+            with pytest.raises(ValueError, match="malformed"):
+                load_trace(path)
 
 
 class TestReports:

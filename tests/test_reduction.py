@@ -211,6 +211,36 @@ class TestEliminateStage:
         else:
             pytest.fail("stage did not converge in 400 steps")
 
+    @pytest.mark.parametrize("n, l", [(2, 4), (3, 3), (4, 2)])
+    def test_round_robin_matches_pass_and_skip_sweep(self, n, l):
+        # Replay round-robin with public primitives as full passes over
+        # the targets in flat order, skipping those already below
+        # epsilon, until a pass starts with every target below it.
+        eps = 1e-12
+        state = random_state(n, l, seed=8)
+        for k in range(n - 1):
+            out, rotations, report = eliminate_stage(state, k, "round-robin", eps)
+            anchor = index_encode([k] * l, n)
+            targets = stage_targets(n, l, k)
+            flats = [index_encode(t.index, n) for t in targets]
+            ref, expected = state, []
+            while np.max(np.abs(ref.amplitudes[flats])) >= eps:
+                assert len(expected) < 10000, "reference sweep did not converge"
+                for t, flat in zip(targets, flats):
+                    if abs(ref.amplitudes[flat]) < eps:
+                        continue
+                    rot = zeroing_rotation(ref.amplitudes[anchor],
+                                           ref.amplitudes[flat])
+                    ref = apply_plane_rotation(ref, t.site, k, t.digit, rot)
+                    expected.append((t.site, t.digit, rot))
+            assert report.converged
+            assert len(rotations) == len(expected)
+            for got, (site, digit, rot) in zip(rotations, expected):
+                assert (got.site, got.level_a, got.level_b) == (site, k, digit)
+                assert np.array_equal(got.entries, rot)
+            assert np.array_equal(out.amplitudes, ref.amplitudes)
+            state = out
+
     def test_anchor_is_real_nonnegative_after_elimination(self):
         s = random_state(3, 2, seed=2)
         out, rotations, _ = eliminate_stage(s, 0)
@@ -237,8 +267,11 @@ class TestEliminateStage:
             eliminate_stage(bell(), 0, "fastest")
 
     def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            eliminate_stage(bell(), 0, epsilon=0.0)
+        # NaN and infinity are rejected too: NaN would never compare
+        # below the residual, and infinity would stop before any step.
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                eliminate_stage(bell(), 0, epsilon=eps)
 
 
 class TestReduce:
@@ -287,10 +320,12 @@ class TestReduce:
         assert all(v <= 1e-11 for v in report.stage_preservation)
 
     def test_single_site_collapses(self):
-        s = random_state(2, 1, seed=3)
-        trace, report = reduce(s)
-        assert report.support_after == 1
-        assert report.bound == 1
+        for n in range(2, 6):
+            s = random_state(n, 1, seed=3)
+            trace, report = reduce(s)
+            assert report.support_after == 1
+            assert report.bound == 1
+            assert report.support_after <= term_bound(n, 1)
 
     def test_report_metadata(self):
         s = random_state(3, 2, seed=1)
@@ -309,6 +344,23 @@ class TestReduce:
         err = info.value
         assert err.report is not None and not err.report.converged
         assert err.trace is not None
+        back = invert_trace(err.trace)
+        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
+
+        # A later stage fails: no weight on the stage-0 targets (flats 1,
+        # 2, 3, 6), so stage 0 converges at once and stage 1 stops with
+        # one of its two targets still live.
+        amps = np.zeros(9, dtype=complex)
+        amps[[0, 4, 5, 7, 8]] = [0.5, 0.5, 0.5, 0.3, np.sqrt(0.16)]
+        s = PureState(3, 2, amps)
+        with pytest.raises(NonConvergenceError) as info:
+            reduce(s, max_iters_per_stage=1)
+        err = info.value
+        assert [st.converged for st in err.report.stages] == [True, False]
+        assert err.report.stages[0].iterations == 0
+        assert not err.report.converged
+        assert len(err.trace.rotations) == 1
+        assert err.trace.rotations[0].stage == 1
         back = invert_trace(err.trace)
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
 
