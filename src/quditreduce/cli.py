@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``random`` (seeded state generation), ``reduce`` (staged
-elimination with trace and report output), ``verify`` (round-trip check
-of a recorded trace), ``schmidt`` (bipartite cross-check against the
-spectral oracle).
+elimination with trace and report output), ``verify`` (unitarity, norm
+and round-trip check of a recorded trace), ``schmidt`` (bipartite
+cross-check against the spectral oracle).
 
 Exit codes are a stable scripting contract: 0 success, 1 invalid input
-or arguments, 2 non-convergence or oracle failure, 3 verification or
-cross-check failure.
+or arguments or an unwritable output, 2 non-convergence or oracle
+failure, 3 verification, cross-check or internal consistency failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NonConvergenceError, OracleFailureError
+from .errors import (
+    InternalConsistencyError,
+    NonConvergenceError,
+    OracleFailureError,
+)
 from .fileio import (
     file_digest,
     load_state,
@@ -34,7 +38,7 @@ from .fileio import (
 )
 from .reduction import invert_rotations, reduce
 from .spectral import schmidt_coefficients
-from .state import random_state
+from .state import NORM_ATOL, UNITARITY_ATOL, random_state, unitarity_defect
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -71,6 +75,14 @@ def cmd_random(args) -> int:
 
 def _reduce_single(input_path: Path, output: Path, trace_path: Path,
                    report_path: Path, args) -> int:
+    """Reduce one state file and write its three outputs.
+
+    Returns 0 on success, 1 for an unreadable input or an unwritable
+    output, 2 for non-convergence (outputs still written) and 3 for an
+    internal consistency failure (no outputs). Failures are reported on
+    stderr with the input path and never raised, so a batch goes on with
+    its other files.
+    """
     started = time.perf_counter()
     try:
         state, renormalized, seed = load_state(input_path)
@@ -90,13 +102,20 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         trace, report = exc.trace, exc.report
         code = EXIT_NO_CONVERGENCE
         _fail(f"{input_path}: {exc}")
+    except InternalConsistencyError as exc:
+        _fail(f"{input_path}: {exc}")
+        return EXIT_VERIFY_FAILED
 
     duration = time.perf_counter() - started
-    save_state(output, trace.final_state)
-    save_trace(trace_path, trace)
-    save_report(report_path, report_to_dict(
-        report, tool_version=__version__, input_digest=digest, seed=seed,
-        duration_seconds=duration, input_renormalized=renormalized))
+    try:
+        save_state(output, trace.final_state)
+        save_trace(trace_path, trace)
+        save_report(report_path, report_to_dict(
+            report, tool_version=__version__, input_digest=digest, seed=seed,
+            duration_seconds=duration, input_renormalized=renormalized))
+    except OSError as exc:
+        _fail(f"{input_path}: cannot write outputs: {exc}")
+        return EXIT_INVALID
     print(f"{input_path}: converged={report.converged} "
           f"support {report.support_before} -> {report.support_after} "
           f"(bound {report.bound}), {len(trace.rotations)} rotations")
@@ -144,6 +163,24 @@ def cmd_verify(args) -> int:
         _fail(f"shape mismatch: original ({n0},{l0}), reduced ({n1},{l1}), "
               f"trace ({nt},{lt})")
         return EXIT_INVALID
+    # The inversion folds the whole trace into one unitary per site, which
+    # hides a bad rotation, so each rotation and the reduced norm are
+    # checked on their own first.
+    entries = np.array([r.entries for r in rotations],
+                       dtype=np.complex128).reshape(-1, 2, 2)
+    defects = unitarity_defect(entries)
+    bad = np.flatnonzero(~(defects <= UNITARITY_ATOL))  # NaN counts as bad
+    if bad.size:
+        i = int(bad[0])
+        print(f"verification FAILED: {bad.size} of {len(rotations)} rotations "
+              f"not unitary; rotations[{i}] has ||R R^dagger - I||_max = "
+              f"{defects[i]:.3e} > {UNITARITY_ATOL}")
+        return EXIT_VERIFY_FAILED
+    norm_drift = abs(float(np.sum(np.abs(reduced) ** 2)) - 1.0)
+    if not norm_drift <= NORM_ATOL:
+        print(f"verification FAILED: reduced state squared norm deviates "
+              f"from 1 by {norm_drift:.3e} > {NORM_ATOL}")
+        return EXIT_VERIFY_FAILED
     reconstructed = invert_rotations(reduced, n0, l0, rotations)
     deviation = float(np.max(np.abs(reconstructed - original))) if len(original) else 0.0
     print(f"max amplitude deviation: {deviation:.6e}")

@@ -281,11 +281,36 @@ def reduce(state: PureState, strategy: str = "greedy",
 def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
                      rotations) -> np.ndarray:
     """Apply the conjugate-transpose rotations in reverse order to a raw
-    amplitude vector; returns a new vector."""
+    amplitude vector; returns a new vector.
+
+    Every rotation acts on one site, so the inverse of the whole trace is
+    a tensor product of one n x n unitary per site. Folding each
+    rotation's conjugate transpose into two rows of its site's unitary
+    costs O(n) per rotation; the amplitudes are then touched once per
+    site that any rotation acts on.
+    """
+    rotations = list(rotations)
+    entries = np.array([r.entries for r in rotations],
+                       dtype=np.complex128).reshape(-1, 2, 2)
+    # Rows of each touched site's unitary, as lists of Python complex:
+    # per-rotation numpy calls on n-vectors cost more than the arithmetic.
+    unitaries: dict[int, list[list[complex]]] = {}
+    for rot, ((c00, c01), (c10, c11)) in zip(reversed(rotations),
+                                              entries.conj()[::-1].tolist()):
+        rows = unitaries.get(rot.site)
+        if rows is None:
+            rows = unitaries[rot.site] = np.eye(n, dtype=np.complex128).tolist()
+        a, b = rows[rot.level_a], rows[rot.level_b]
+        # Left-multiply by entries^dagger = [[c00, c10], [c01, c11]],
+        # embedded in rows (level_a, level_b).
+        rows[rot.level_a] = [c00 * x + c10 * y for x, y in zip(a, b)]
+        rows[rot.level_b] = [c01 * x + c11 * y for x, y in zip(a, b)]
+
     work = np.array(amplitudes, dtype=np.complex128)
-    for rot in reversed(list(rotations)):
-        rotate_pair_inplace(work, n, l, rot.site, rot.level_a, rot.level_b,
-                            rot.entries.conj().T)
+    for site, rows in unitaries.items():
+        # Little-endian flat order: site 0 is the fastest-varying digit.
+        view = work.reshape(n**(l - 1 - site), n, n**site)
+        work = np.matmul(np.array(rows), view).reshape(-1)
     return work
 
 

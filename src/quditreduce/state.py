@@ -116,9 +116,10 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
                         level_a: int, level_b: int, rot: np.ndarray) -> None:
     """Mix levels (level_a, level_b) of ``site`` by ``rot``, in place.
 
-    Kernel shared by apply_plane_rotation and the elimination loops; no
-    argument validation here. ``amps`` must be a contiguous length n**l
-    complex vector.
+    Kernel of apply_plane_rotation and of the elimination loop; trace
+    inversion folds rotations into one unitary per site instead of
+    replaying them through here. No argument validation here. ``amps``
+    must be a contiguous length n**l complex vector.
     """
     arr = amps.reshape((n,) * l)
     axis = l - 1 - site  # little-endian flat order: site 0 varies fastest
@@ -131,6 +132,14 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
     vb = arr[sl_b].copy()
     arr[sl_a] = rot[0, 0] * va + rot[0, 1] * vb
     arr[sl_b] = rot[1, 0] * va + rot[1, 1] * vb
+
+
+def unitarity_defect(rot) -> np.ndarray:
+    """Max-entry norm of rot @ rot^dagger - I for each 2x2 matrix in
+    ``rot`` (shape (..., 2, 2)); the result has the leading shape."""
+    rot = np.asarray(rot, dtype=np.complex128)
+    gram = rot @ np.swapaxes(rot, -1, -2).conj()
+    return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
 
 
 def apply_plane_rotation(state: PureState, site: int, level_a: int,
@@ -155,7 +164,7 @@ def apply_plane_rotation(state: PureState, site: int, level_a: int,
     rot = np.asarray(rot, dtype=np.complex128)
     if rot.shape != (2, 2):
         raise ValueError(f"rotation must be 2x2, got shape {rot.shape}")
-    defect = np.max(np.abs(rot @ rot.conj().T - np.eye(2)))
+    defect = unitarity_defect(rot)
     if defect > UNITARITY_ATOL:
         raise InvalidRotationError(
             f"matrix is not unitary: ||rot rot^dagger - I||_max = {defect:.3e}"

@@ -6,9 +6,9 @@ import pytest
 from quditreduce import PureState, product_state, random_state
 from quditreduce import cli
 from quditreduce.cli import main
-from quditreduce.errors import OracleFailureError
+from quditreduce.errors import InternalConsistencyError, OracleFailureError
 from quditreduce.fileio import load_state, save_state, save_trace
-from quditreduce.reduction import DecompositionTrace
+from quditreduce.reduction import DecompositionTrace, LocalRotation
 
 RT2 = np.sqrt(2.0)
 
@@ -162,6 +162,33 @@ class TestReduce:
         assert main(["reduce", "--batch", str(tmp_path)]) == 0
         assert not (tmp_path / "a.reduced.reduced.json").exists()
 
+    def test_batch_unwritable_output_goes_on(self, tmp_path, capsys):
+        random_file(tmp_path / "a.json", 2, 2, 1)
+        random_file(tmp_path / "b.json", 3, 2, 2)
+        (tmp_path / "a.reduced.json").mkdir()
+        assert main(["reduce", "--batch", str(tmp_path)]) == 1
+        assert "a.json" in capsys.readouterr().err
+        for kind in ("reduced", "trace", "report"):
+            assert (tmp_path / f"b.{kind}.json").is_file()
+
+    def test_batch_consistency_error_goes_on(self, tmp_path, monkeypatch, capsys):
+        random_file(tmp_path / "a.json", 2, 2, 1)
+        random_file(tmp_path / "b.json", 3, 2, 2)
+        calls = []
+
+        def reduce_failing_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise InternalConsistencyError("earlier-stage target revived")
+            return cli_reduce(*args, **kwargs)
+
+        cli_reduce = cli.reduce
+        monkeypatch.setattr(cli, "reduce", reduce_failing_first)
+        assert main(["reduce", "--batch", str(tmp_path)]) == 3
+        assert "a.json: earlier-stage target revived" in capsys.readouterr().err
+        assert not (tmp_path / "a.reduced.json").exists()
+        assert (tmp_path / "b.reduced.json").is_file()
+
     def test_batch_missing_directory(self, tmp_path):
         assert main(["reduce", "--batch", str(tmp_path / "none")]) == 1
 
@@ -203,6 +230,35 @@ class TestVerify:
                      str(trace_path), "--reduced", str(original)])
         assert code == 0
         assert "0.000000e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("diagonal", [[2.0, 1.0], [np.nan, 1.0]])
+    def test_non_unitary_rotation_fails(self, tmp_path, capsys, diagonal):
+        # diag(2, 1) fixes level 1 of site 0, where all the amplitude sits,
+        # so the round trip alone is exact.
+        state = product_state([[0, 1], [0.6, 0.8]])
+        path = tmp_path / "s.json"
+        save_state(path, state)
+        bad = LocalRotation(stage=0, site=0, level_a=0, level_b=1,
+                            entries=np.diag(diagonal).astype(complex))
+        trace_path = tmp_path / "t.json"
+        save_trace(trace_path, DecompositionTrace(1.0, [bad], state))
+        code = main(["verify", "--original", str(path), "--trace",
+                     str(trace_path), "--reduced", str(path)])
+        assert code == 3
+        assert "rotations[0]" in capsys.readouterr().out
+
+    def test_unnormalized_reduced_fails(self, tmp_path, capsys):
+        # Scaled by 1 + 5e-10: every amplitude moves by less than the
+        # 1e-9 round-trip tolerance, but the squared norm by ~1e-9.
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(reduced.read_text())
+        doc["amplitudes"] = [[re * (1 + 5e-10), im * (1 + 5e-10)]
+                             for re, im in doc["amplitudes"]]
+        reduced.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 3
+        assert "norm" in capsys.readouterr().out
 
     def test_shape_mismatch_exits_1(self, tmp_path):
         original, trace, _ = self._reduce(tmp_path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditreduce import (
@@ -20,7 +20,11 @@ from quditreduce import (
     term_bound,
     zeroing_rotation,
 )
-from quditreduce.reduction import DecompositionTrace
+from quditreduce.reduction import (
+    DecompositionTrace,
+    LocalRotation,
+    invert_rotations,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -393,6 +397,48 @@ class TestInvertTrace:
         assert report.converged
         back = invert_trace(trace)
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-9
+
+
+@st.composite
+def shaped_moves(draw):
+    """(n, l, seed, moves): a shape and a list of (site, level_a, level_b)
+    with any site order and any level pair a < b."""
+    n = draw(st.integers(2, 5))
+    l = draw(st.integers(1, 4))
+    move = st.tuples(st.integers(0, l - 1), st.integers(0, n - 2)).flatmap(
+        lambda sa: st.tuples(st.just(sa[0]), st.just(sa[1]),
+                             st.integers(sa[1] + 1, n - 1)))
+    return n, l, draw(st.integers(0, 2**32 - 1)), draw(st.lists(move, max_size=12))
+
+
+def replay_inverse(state, rotations):
+    """Reference inversion: each conjugate transpose through
+    apply_plane_rotation, last rotation first."""
+    for rot in reversed(rotations):
+        state = apply_plane_rotation(state, rot.site, rot.level_a,
+                                     rot.level_b, rot.entries.conj().T)
+    return state.amplitudes
+
+
+class TestInvertRotations:
+    @settings(max_examples=150, deadline=None)
+    @given(case=shaped_moves())
+    @example(case=(3, 2, 0, []))
+    def test_matches_sequential_replay(self, case):
+        n, l, seed, moves = case
+        rng = np.random.default_rng(seed)
+        rotations = []
+        for site, a, b in moves:
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            unitary, _ = np.linalg.qr(z)
+            rotations.append(LocalRotation(stage=a, site=site, level_a=a,
+                                           level_b=b, entries=unitary))
+        state = random_state(n, l, seed)
+        before = state.amplitudes.copy()
+        out = invert_rotations(state.amplitudes, n, l, rotations)
+        assert np.array_equal(state.amplitudes, before)
+        assert out is not state.amplitudes
+        assert np.max(np.abs(out - replay_inverse(state, rotations))) <= 1e-12
 
 
 class TestTelescopedMassTransfer:
