@@ -9,14 +9,10 @@ from .errors import (
     InvalidRotationError,
     NonConvergenceError,
     OracleFailureError,
-    QuditReduceError,
 )
 from .reduction import (
     DecompositionTrace,
     LocalRotation,
-    ReductionReport,
-    StageReport,
-    StageTarget,
     eliminate_stage,
     invert_trace,
     reduce,
@@ -26,14 +22,11 @@ from .reduction import (
     zeroing_rotation,
 )
 from .spectral import (
-    SpectralResult,
     hermitian_eigenvalues,
     reduced_density,
     schmidt_coefficients,
 )
 from .state import (
-    DEFAULT_SIZE_CAP,
-    MultiIndex,
     PureState,
     amplitude_at,
     apply_plane_rotation,
@@ -47,21 +40,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "DEFAULT_SIZE_CAP",
     "DecompositionTrace",
     "InternalConsistencyError",
     "InvalidIndexError",
     "InvalidRotationError",
     "LocalRotation",
-    "MultiIndex",
     "NonConvergenceError",
     "OracleFailureError",
     "PureState",
-    "QuditReduceError",
-    "ReductionReport",
-    "SpectralResult",
-    "StageReport",
-    "StageTarget",
     "amplitude_at",
     "apply_plane_rotation",
     "eliminate_stage",

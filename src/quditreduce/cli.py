@@ -78,10 +78,10 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
     """Reduce one state file and write its three outputs.
 
     Returns 0 on success, 1 for an unreadable input or an unwritable
-    output, 2 for non-convergence (outputs still written) and 3 for an
-    internal consistency failure (no outputs). Failures are reported on
-    stderr with the input path and never raised, so a batch goes on with
-    its other files.
+    output (no outputs), 2 for non-convergence (outputs still written)
+    and 3 for an internal consistency failure (no outputs). Failures are
+    reported on stderr with the input path and never raised, so a batch
+    goes on with its other files.
     """
     started = time.perf_counter()
     try:
@@ -107,13 +107,25 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         return EXIT_VERIFY_FAILED
 
     duration = time.perf_counter() - started
+    # Each output is written to a sibling temp name that --batch never takes
+    # as an input, and all three move into place only after every write
+    # succeeded; a failure leaves none of them behind.
+    outputs = (output, trace_path, report_path)
+    temps = [p.with_name(p.name + ".part") for p in outputs]
+    placed = []
     try:
-        save_state(output, trace.final_state)
-        save_trace(trace_path, trace)
-        save_report(report_path, report_to_dict(
+        save_state(temps[0], trace.final_state)
+        save_trace(temps[1], trace)
+        save_report(temps[2], report_to_dict(
             report, tool_version=__version__, input_digest=digest, seed=seed,
             duration_seconds=duration, input_renormalized=renormalized))
+        for temp, path in zip(temps, outputs):
+            temp.replace(path)
+            placed.append(path)
     except OSError as exc:
+        for path in temps + placed:
+            if path.is_file():
+                path.unlink()
         _fail(f"{input_path}: cannot write outputs: {exc}")
         return EXIT_INVALID
     print(f"{input_path}: converged={report.converged} "
@@ -124,6 +136,11 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
 
 def cmd_reduce(args) -> int:
     if args.batch:
+        given = [f"--{name}" for name in ("input", "output", "trace", "report")
+                 if getattr(args, name)]
+        if given:
+            _fail(f"--batch cannot be combined with {', '.join(given)}")
+            return EXIT_INVALID
         directory = Path(args.batch)
         if not directory.is_dir():
             _fail(f"{directory} is not a directory")
@@ -263,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the staged elimination on a state file")
     p.add_argument("--input", help="state file to reduce")
     p.add_argument("--batch", metavar="DIR",
-                   help="reduce every state file in DIR instead of --input")
+                   help="reduce every state file in DIR; excludes --input, "
+                        "--output, --trace and --report")
     p.add_argument("--output", help="reduced state file (default: <input>.reduced.json)")
     p.add_argument("--trace", help="rotation trace file (default: <input>.trace.json)")
     p.add_argument("--report", help="report file (default: <input>.report.json)")

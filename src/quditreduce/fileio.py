@@ -1,10 +1,12 @@
 """JSON file formats for states, rotation traces, and run reports.
 
-Amplitudes are stored as [real, imag] pairs. Floats go through Python's
-shortest-round-trip decimal repr, so any finite double written by this
-tool reloads bit-exactly. State files whose norm is slightly off (at
-most 1e-8 from 1, e.g. hand-written fixtures) are renormalized on load
-and flagged; anything worse is rejected.
+Each file is one line of JSON; layout is not part of a format. Integer
+fields must be JSON integers (booleans rejected). Amplitudes are stored
+as [real, imag] pairs. Floats go through Python's shortest-round-trip
+decimal repr, so any finite double written by this tool reloads
+bit-exactly. State files whose norm is slightly off (at most 1e-8 from
+1, e.g. hand-written fixtures) are renormalized on load and flagged;
+anything worse is rejected.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ STATE_FORMAT = "qudit-state/1"
 TRACE_FORMAT = "qudit-trace/1"
 REPORT_FORMAT = "qudit-report/1"
 
+#: Integer fields of each trace rotation, in LocalRotation order.
+_ROTATION_INTS = ("stage", "site", "level_a", "level_b")
+_NUMBER = (int, float)
+
 #: Norm deviation (|sqrt(sum |a|^2) - 1|) beyond which a state file is rejected.
 MAX_NORM_DEVIATION = 1e-8
 
@@ -32,6 +38,15 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _int(value, what: str, low: int | None = None) -> int:
+    """A JSON integer (at least ``low`` when given); type() rather than
+    isinstance() so that booleans are rejected."""
+    if type(value) is not int or (low is not None and value < low):
+        raise ValueError(f"{what} must be an integer"
+                         + ("" if low is None else f" >= {low}"))
+    return value
+
+
 def _pairs(a) -> list:
     """A complex array as nested lists ending in [re, im] pairs."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
@@ -39,10 +54,9 @@ def _pairs(a) -> list:
 
 
 def _is_pair(p) -> bool:
-    """A JSON [re, im] number pair; type() rather than isinstance() so
-    that booleans are rejected."""
+    """A JSON [re, im] number pair (booleans rejected, as in _int)."""
     return (type(p) is list and len(p) == 2
-            and type(p[0]) in (int, float) and type(p[1]) in (int, float))
+            and type(p[0]) in _NUMBER and type(p[1]) in _NUMBER)
 
 
 def _complex(pairs: list) -> np.ndarray:
@@ -59,6 +73,18 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
     return _complex(raw)
 
 
+def _read_doc(path, fmt: str) -> dict:
+    """Load a JSON object and check its format tag, n >= 2 and l >= 1."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    _require(isinstance(doc, dict), f"{fmt} file must hold a JSON object")
+    _require(doc.get("format") == fmt,
+             f"unrecognized format {doc.get('format')!r}, expected {fmt!r}")
+    _int(doc.get("n"), "field 'n'", 2)
+    _int(doc.get("l"), "field 'l'", 1)
+    return doc
+
+
 def read_state_file(path):
     """Parse and structurally validate a state file.
 
@@ -66,19 +92,13 @@ def read_state_file(path):
     amplitudes; ``seed`` is the recorded generator seed or None. Use
     load_state for the norm-checked variant.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    _require(isinstance(doc, dict), "state file must hold a JSON object")
-    _require(doc.get("format") == STATE_FORMAT,
-             f"unrecognized state format {doc.get('format')!r}")
-    n, l = doc.get("n"), doc.get("l")
-    _require(isinstance(n, int) and n >= 2, "field 'n' must be an integer >= 2")
-    _require(isinstance(l, int) and l >= 1, "field 'l' must be an integer >= 1")
+    doc = _read_doc(path, STATE_FORMAT)
+    n, l, seed = doc["n"], doc["l"], doc.get("seed")
     amps = _parse_pairs(doc.get("amplitudes"), "amplitudes")
     _require(len(amps) == n**l,
              f"expected {n**l} amplitudes for n={n}, l={l}, got {len(amps)}")
-    seed = doc.get("seed")
-    _require(seed is None or isinstance(seed, int), "field 'seed' must be an integer")
+    if seed is not None:
+        _int(seed, "field 'seed'")
     return n, l, amps, seed
 
 
@@ -117,44 +137,35 @@ def save_state(path, state: PureState, *, seed: int | None = None) -> None:
 
 
 def save_trace(path, trace: DecompositionTrace) -> None:
-    final = trace.final_state
-    doc = {
+    final, rotations = trace.final_state, trace.rotations
+    entries = np.array([r.entries for r in rotations],
+                       dtype=np.complex128).reshape(-1, 2, 2)
+    _dump(path, {
         "format": TRACE_FORMAT,
         "n": final.n,
         "l": final.l,
         "original_norm": float(trace.original_norm),
         "rotations": [
-            {
-                "stage": r.stage,
-                "site": r.site,
-                "level_a": r.level_a,
-                "level_b": r.level_b,
-                "entries": _pairs(r.entries),
-            }
-            for r in trace.rotations
+            {"stage": r.stage, "site": r.site, "level_a": r.level_a,
+             "level_b": r.level_b, "entries": e}
+            for r, e in zip(rotations, _pairs(entries))
         ],
-    }
-    _dump(path, doc)
+    })
 
 
 def load_trace(path):
     """Returns (n, l, original_norm, rotations)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    _require(isinstance(doc, dict), "trace file must hold a JSON object")
-    _require(doc.get("format") == TRACE_FORMAT,
-             f"unrecognized trace format {doc.get('format')!r}")
-    n, l = doc.get("n"), doc.get("l")
-    _require(isinstance(n, int) and n >= 2, "field 'n' must be an integer >= 2")
-    _require(isinstance(l, int) and l >= 1, "field 'l' must be an integer >= 1")
+    doc = _read_doc(path, TRACE_FORMAT)
+    n, l = doc["n"], doc["l"]
+    original_norm = doc.get("original_norm", 1.0)
+    _require(type(original_norm) in _NUMBER,
+             "field 'original_norm' must be a number")
     raw = doc.get("rotations")
     _require(isinstance(raw, list), "field 'rotations' must be a list")
     fields, pairs = [], []
     for i, r in enumerate(raw):
-        _require(isinstance(r, dict), f"rotations[{i}] must be an object")
         try:
-            stage, site = int(r["stage"]), int(r["site"])
-            a, b = int(r["level_a"]), int(r["level_b"])
+            stage, site, a, b = [_int(r[key], key) for key in _ROTATION_INTS]
             (e00, e01), (e10, e11) = r["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
@@ -169,44 +180,23 @@ def load_trace(path):
     # One conversion for all entries; each rotation gets a 2x2 view.
     rotations = [LocalRotation(*f, entries=e)
                  for f, e in zip(fields, _complex(pairs).reshape(-1, 2, 2))]
-    return n, l, float(doc.get("original_norm", 1.0)), rotations
+    return n, l, float(original_norm), rotations
 
 
 def report_to_dict(report: ReductionReport, *, tool_version: str,
                    input_digest: str | None, seed: int | None,
                    duration_seconds: float,
                    input_renormalized: bool = False) -> dict:
-    return {
-        "format": REPORT_FORMAT,
-        "tool_version": tool_version,
-        "input_digest": input_digest,
-        "strategy": report.strategy,
-        "epsilon": report.epsilon,
-        "max_iters_per_stage": report.max_iters_per_stage,
-        "threshold": report.support_threshold,
-        "seed": seed,
-        "duration_seconds": duration_seconds,
-        "input_renormalized": input_renormalized,
-        "n": report.n,
-        "l": report.l,
-        "converged": report.converged,
-        "support_before": report.support_before,
-        "support_after": report.support_after,
-        "bound": report.bound,
-        "norm_drift": report.norm_drift,
-        "stage_preservation": list(report.stage_preservation),
-        "stages": [
-            {
-                "stage": s.stage,
-                "iterations": s.iterations,
-                "residual": s.residual,
-                "converged": s.converged,
-                "anchor_history": list(s.anchor_history),
-                "pivot_history": list(s.pivot_history),
-            }
-            for s in report.stages
-        ],
-    }
+    """The run's provenance plus every ReductionReport field, with
+    support_threshold written as threshold and each StageReport as an
+    object of its fields."""
+    doc = {"format": REPORT_FORMAT, "tool_version": tool_version,
+           "input_digest": input_digest, "seed": seed,
+           "duration_seconds": duration_seconds,
+           "input_renormalized": input_renormalized, **vars(report)}
+    doc["threshold"] = doc.pop("support_threshold")
+    doc["stages"] = [dict(vars(s)) for s in report.stages]
+    return doc
 
 
 def save_report(path, report_dict: dict) -> None:
@@ -219,6 +209,10 @@ def file_digest(path) -> str:
 
 
 def _dump(path, doc: dict) -> None:
+    """Write ``doc`` as one line of JSON. json.dumps takes the C encoder,
+    which json.dump never does; encoding first leaves no file behind
+    when a value cannot be encoded."""
+    text = json.dumps(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(text)
         fh.write("\n")

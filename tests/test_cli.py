@@ -171,6 +171,36 @@ class TestReduce:
         for kind in ("reduced", "trace", "report"):
             assert (tmp_path / f"b.{kind}.json").is_file()
 
+    def test_batch_failed_write_leaves_no_outputs(self, tmp_path, capsys):
+        random_file(tmp_path / "a.json", 2, 2, 1)
+        random_file(tmp_path / "b.json", 3, 2, 2)
+        (tmp_path / "a.trace.json").mkdir()
+        assert main(["reduce", "--batch", str(tmp_path)]) == 1
+        assert "a.json" in capsys.readouterr().err
+        assert not (tmp_path / "a.reduced.json").exists()
+        assert not (tmp_path / "a.report.json").exists()
+        assert not list(tmp_path.glob("*.part"))
+        for kind in ("reduced", "trace", "report"):
+            assert (tmp_path / f"b.{kind}.json").is_file()
+
+    @pytest.mark.parametrize("flag", ["--input", "--output", "--trace", "--report"])
+    def test_batch_rejects_single_file_flags(self, tmp_path, capsys, flag):
+        random_file(tmp_path / "a.json", 2, 2, 1)
+        code = main(["reduce", "--batch", str(tmp_path), flag,
+                     str(tmp_path / "x.json")])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+    @pytest.mark.parametrize("field", ["l", "seed"])
+    def test_boolean_header_field_exits_1(self, tmp_path, field):
+        path = random_file(tmp_path / "s.json", 2, 1, 4)
+        doc = json.loads(path.read_text())
+        doc[field] = True
+        path.write_text(json.dumps(doc))
+        assert main(["reduce", "--input", str(path)]) == 1
+        assert not (tmp_path / "s.report.json").exists()
+
     def test_batch_consistency_error_goes_on(self, tmp_path, monkeypatch, capsys):
         random_file(tmp_path / "a.json", 2, 2, 1)
         random_file(tmp_path / "b.json", 3, 2, 2)
@@ -259,6 +289,21 @@ class TestVerify:
                      str(trace), "--reduced", str(reduced)])
         assert code == 3
         assert "norm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("top", "original_norm", [1]),
+        ("rotation", "stage", "0"),
+        ("rotation", "site", 0.9),
+    ])
+    def test_malformed_trace_exits_1(self, tmp_path, capsys, where, key, value):
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(trace.read_text())
+        (doc if where == "top" else doc["rotations"][0])[key] = value
+        trace.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 1
+        assert key in capsys.readouterr().err
 
     def test_shape_mismatch_exits_1(self, tmp_path):
         original, trace, _ = self._reduce(tmp_path)

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from quditreduce import CapacityError, PureState, random_state, reduce
+from quditreduce import (
+    CapacityError,
+    DecompositionTrace,
+    PureState,
+    random_state,
+    reduce,
+)
 from quditreduce.fileio import (
     MAX_NORM_DEVIATION,
     STATE_FORMAT,
@@ -129,6 +135,17 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="pair"):
             read_state_file(path)
 
+    @pytest.mark.parametrize("field", ["n", "l", "seed"])
+    def test_rejects_boolean_integer_fields(self, tmp_path, field):
+        # JSON true is a Python bool, an int subclass; it must not pass
+        # as 1 (l, seed) or be compared as a number (n).
+        path = tmp_path / "s.json"
+        doc = state_doc(2, 1, np.array([1, 0], dtype=complex), seed=3)
+        doc[field] = True
+        write_doc(path, doc)
+        with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+            read_state_file(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("not json {")
@@ -187,6 +204,30 @@ class TestTraceFiles:
             write_doc(path, doc)
             with pytest.raises(ValueError, match="malformed"):
                 load_trace(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("stage", "0"), ("site", 0.9), ("level_a", True), ("level_b", None),
+    ])
+    def test_rejects_non_integer_rotation_fields(self, tmp_path, key, value):
+        s = random_state(2, 2, seed=1)
+        trace, _ = reduce(s)
+        path = tmp_path / "t.json"
+        save_trace(path, trace)
+        doc = json.loads(path.read_text())
+        doc["rotations"][0][key] = value
+        write_doc(path, doc)
+        with pytest.raises(ValueError, match=f"malformed: {key} must be an integer"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("value", [[1], "1", True, None])
+    def test_rejects_non_numeric_original_norm(self, tmp_path, value):
+        path = tmp_path / "t.json"
+        save_trace(path, DecompositionTrace(1.0, [], random_state(2, 2, seed=1)))
+        doc = json.loads(path.read_text())
+        doc["original_norm"] = value
+        write_doc(path, doc)
+        with pytest.raises(ValueError, match="original_norm"):
+            load_trace(path)
 
 
 class TestReports:
