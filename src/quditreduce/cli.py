@@ -8,6 +8,9 @@ cross-check against the spectral oracle).
 Exit codes are a stable scripting contract: 0 success, 1 invalid input
 or arguments or an unwritable output, 2 non-convergence or oracle
 failure, 3 verification, cross-check or internal consistency failure.
+Commands raise their failures; ``_run`` alone turns them into exit codes,
+for each command and for each file of ``reduce --batch``. ``reduce``
+exits 1 when an output path names its input or another output.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .fileio import (
     save_state,
     save_trace,
 )
-from .reduction import invert_rotations, reduce
+from .reduction import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, STRATEGIES,
+                        invert_rotations, reduce)
 from .spectral import schmidt_coefficients
 from .state import NORM_ATOL, UNITARITY_ATOL, random_state, unitarity_defect
 
@@ -57,17 +61,31 @@ def _fail(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _run(command, *args, where=None) -> int:
+    """Return ``command(*args)``, or the exit code of the failure it raised.
+
+    The one table from failures to exit codes; the failure is reported on
+    stderr after ``where``, when given. Any other error is a bug and propagates.
+    """
+    try:
+        return command(*args)
+    except (OSError, ValueError) as exc:  # ValueError includes CapacityError
+        code, error = EXIT_INVALID, exc
+    except (NonConvergenceError, OracleFailureError) as exc:
+        code, error = EXIT_NO_CONVERGENCE, exc
+    except InternalConsistencyError as exc:
+        code, error = EXIT_VERIFY_FAILED, exc
+    _fail(f"{where}: {error}" if where else error)
+    return code
+
+
 def _derived(path: Path, kind: str) -> Path:
     stem = path.name[:-5] if path.name.endswith(".json") else path.name
     return path.with_name(f"{stem}.{kind}.json")
 
 
 def cmd_random(args) -> int:
-    try:
-        state = random_state(args.n, args.l, args.seed)
-    except ValueError as exc:  # includes CapacityError
-        _fail(exc)
-        return EXIT_INVALID
+    state = random_state(args.n, args.l, args.seed)
     save_state(args.output, state, seed=args.seed)
     print(f"wrote {args.output}: n={args.n} l={args.l} seed={args.seed}")
     return EXIT_OK
@@ -77,20 +95,14 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
                    report_path: Path, args) -> int:
     """Reduce one state file and write its three outputs.
 
-    Returns 0 on success, 1 for an unreadable input or an unwritable
-    output (no outputs), 2 for non-convergence (outputs still written)
-    and 3 for an internal consistency failure (no outputs). Failures are
-    reported on stderr with the input path and never raised, so a batch
-    goes on with its other files.
+    Returns 0 on success and 2 for non-convergence, whose outputs are
+    still written. Every other failure raises, leaving no outputs, and
+    ``_run`` maps it: 1 for an unreadable input or an unwritable output,
+    3 for an internal consistency failure.
     """
     started = time.perf_counter()
-    try:
-        state, renormalized, seed = load_state(input_path)
-        digest = file_digest(input_path)
-    except (OSError, ValueError) as exc:
-        _fail(f"{input_path}: {exc}")
-        return EXIT_INVALID
-
+    state, renormalized, seed = load_state(input_path)
+    digest = file_digest(input_path)
     code = EXIT_OK
     try:
         trace, report = reduce(state, strategy=args.strategy,
@@ -102,9 +114,6 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         trace, report = exc.trace, exc.report
         code = EXIT_NO_CONVERGENCE
         _fail(f"{input_path}: {exc}")
-    except InternalConsistencyError as exc:
-        _fail(f"{input_path}: {exc}")
-        return EXIT_VERIFY_FAILED
 
     duration = time.perf_counter() - started
     # Each output is written to a sibling temp name that --batch never takes
@@ -126,8 +135,7 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         for path in temps + placed:
             if path.is_file():
                 path.unlink()
-        _fail(f"{input_path}: cannot write outputs: {exc}")
-        return EXIT_INVALID
+        raise OSError(f"cannot write outputs: {exc}") from exc
     print(f"{input_path}: converged={report.converged} "
           f"support {report.support_before} -> {report.support_after} "
           f"(bound {report.bound}), {len(trace.rotations)} rotations")
@@ -139,47 +147,43 @@ def cmd_reduce(args) -> int:
         given = [f"--{name}" for name in ("input", "output", "trace", "report")
                  if getattr(args, name)]
         if given:
-            _fail(f"--batch cannot be combined with {', '.join(given)}")
-            return EXIT_INVALID
+            raise ValueError(f"--batch cannot be combined with {', '.join(given)}")
         directory = Path(args.batch)
         if not directory.is_dir():
-            _fail(f"{directory} is not a directory")
-            return EXIT_INVALID
+            raise ValueError(f"{directory} is not a directory")
         inputs = sorted(
             p for p in directory.glob("*.json")
             if not p.name.endswith(_OUTPUT_SUFFIXES)
         )
         if not inputs:
-            _fail(f"no state files found in {directory}")
-            return EXIT_INVALID
+            raise ValueError(f"no state files found in {directory}")
         # Runs are independent; processed sequentially here.
         return max(
-            _reduce_single(p, _derived(p, "reduced"), _derived(p, "trace"),
-                           _derived(p, "report"), args)
+            _run(_reduce_single, p, _derived(p, "reduced"), _derived(p, "trace"),
+                 _derived(p, "report"), args, where=p)
             for p in inputs
         )
     if not args.input:
-        _fail("reduce needs --input or --batch")
-        return EXIT_INVALID
+        raise ValueError("reduce needs --input or --batch")
     input_path = Path(args.input)
     output = Path(args.output) if args.output else _derived(input_path, "reduced")
     trace_path = Path(args.trace) if args.trace else _derived(input_path, "trace")
     report_path = Path(args.report) if args.report else _derived(input_path, "report")
-    return _reduce_single(input_path, output, trace_path, report_path, args)
+    # A batch cannot collide this way: no input carries an output suffix.
+    paths = (input_path, output, trace_path, report_path)
+    if len({p.resolve() for p in paths}) < len(paths):
+        raise ValueError("--output, --trace and --report must each name a "
+                         "file other than the input and the other outputs")
+    return _run(_reduce_single, *paths, args, where=input_path)
 
 
 def cmd_verify(args) -> int:
-    try:
-        n0, l0, original, _ = read_state_file(args.original)
-        n1, l1, reduced, _ = read_state_file(args.reduced)
-        nt, lt, _, rotations = load_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
-        return EXIT_INVALID
+    n0, l0, original, _ = read_state_file(args.original)
+    n1, l1, reduced, _ = read_state_file(args.reduced)
+    nt, lt, _, rotations = load_trace(args.trace)
     if not (n0 == n1 == nt and l0 == l1 == lt):
-        _fail(f"shape mismatch: original ({n0},{l0}), reduced ({n1},{l1}), "
-              f"trace ({nt},{lt})")
-        return EXIT_INVALID
+        raise ValueError(f"shape mismatch: original ({n0},{l0}), reduced "
+                         f"({n1},{l1}), trace ({nt},{lt})")
     # The inversion folds the whole trace into one unitary per site, which
     # hides a bad rotation, so each rotation and the reduced norm are
     # checked on their own first.
@@ -199,7 +203,7 @@ def cmd_verify(args) -> int:
               f"from 1 by {norm_drift:.3e} > {NORM_ATOL}")
         return EXIT_VERIFY_FAILED
     reconstructed = invert_rotations(reduced, n0, l0, rotations)
-    deviation = float(np.max(np.abs(reconstructed - original))) if len(original) else 0.0
+    deviation = float(np.max(np.abs(reconstructed - original)))
     print(f"max amplitude deviation: {deviation:.6e}")
     if deviation < VERIFY_TOL:
         print("verification passed")
@@ -209,24 +213,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schmidt(args) -> int:
-    try:
-        state, _, _ = load_state(args.input)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
-        return EXIT_INVALID
+    state, _, _ = load_state(args.input)
     if state.l != 2:
-        _fail(f"schmidt cross-check needs a bipartite state (l = 2), got l = {state.l}")
-        return EXIT_INVALID
-    try:
-        oracle = schmidt_coefficients(state)
-    except OracleFailureError as exc:
-        _fail(exc)
-        return EXIT_NO_CONVERGENCE
-    try:
-        trace, _ = reduce(state, strategy="greedy", epsilon=1e-12)
-    except NonConvergenceError as exc:
-        _fail(exc)
-        return EXIT_NO_CONVERGENCE
+        raise ValueError(f"schmidt cross-check needs a bipartite state (l = 2), "
+                         f"got l = {state.l}")
+    oracle = schmidt_coefficients(state)
+    trace, _ = reduce(state)
     n = state.n
     diag = np.abs(trace.final_state.amplitudes[[i * (n + 1) for i in range(n)]])
     diag = np.sort(diag)[::-1]
@@ -285,13 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="reduced state file (default: <input>.reduced.json)")
     p.add_argument("--trace", help="rotation trace file (default: <input>.trace.json)")
     p.add_argument("--report", help="report file (default: <input>.report.json)")
-    p.add_argument("--eps", default=1e-12,
+    p.add_argument("--eps", default=DEFAULT_EPSILON,
                    type=_checked(float, lambda v: 0 < v < math.inf,
                                  "a finite number > 0"),
                    help="convergence threshold on target magnitudes")
-    p.add_argument("--strategy", choices=["greedy", "round-robin"],
-                   default="greedy")
-    p.add_argument("--max-iters", default=10000,
+    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
+    p.add_argument("--max-iters", default=DEFAULT_MAX_ITERS,
                    type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                    help="elimination cap per stage")
     p.add_argument("--threshold", default=None,
@@ -316,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -76,7 +76,10 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
 def _read_doc(path, fmt: str) -> dict:
     """Load a JSON object and check its format tag, n >= 2 and l >= 1."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     _require(isinstance(doc, dict), f"{fmt} file must hold a JSON object")
     _require(doc.get("format") == fmt,
              f"unrecognized format {doc.get('format')!r}, expected {fmt!r}")

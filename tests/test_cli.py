@@ -48,6 +48,12 @@ class TestRandom:
         assert code == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys):
+        code = main(["random", "--n", "2", "--l", "2", "--seed", "1",
+                     "--output", str(tmp_path / "missing" / "s.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_arguments_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["random", "--n", "two", "--l", "3", "--seed", "1",
@@ -219,6 +225,30 @@ class TestReduce:
         assert not (tmp_path / "a.reduced.json").exists()
         assert (tmp_path / "b.reduced.json").is_file()
 
+    def test_batch_deeply_nested_file_goes_on(self, tmp_path, capsys):
+        (tmp_path / "a.json").write_text("[" * 100_000 + "]" * 100_000)
+        random_file(tmp_path / "b.json", 3, 2, 2)
+        assert main(["reduce", "--batch", str(tmp_path)]) == 1
+        assert "a.json" in capsys.readouterr().err
+        for kind in ("reduced", "trace", "report"):
+            assert (tmp_path / f"b.{kind}.json").is_file()
+
+    @pytest.mark.parametrize("flags", [
+        ["--output", "s.json"],
+        ["--trace", "s.json"],
+        ["--output", "o.json", "--trace", "o.json"],
+        ["--report", "s.reduced.json"],
+    ])
+    def test_colliding_paths_exit_1(self, tmp_path, flags):
+        path = random_file(tmp_path / "s.json", 2, 2, 1)
+        original = path.read_bytes()
+        code = main(["reduce", "--input", str(path),
+                     *[str(tmp_path / f) if f.endswith(".json") else f
+                       for f in flags]])
+        assert code == 1
+        assert path.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     def test_batch_missing_directory(self, tmp_path):
         assert main(["reduce", "--batch", str(tmp_path / "none")]) == 1
 
@@ -364,6 +394,14 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["reduce", "--nope"])
         assert info.value.code == 1
+
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_schmidt", crash)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["schmidt", "--input", str(bell_file(tmp_path / "b.json"))])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -152,6 +152,13 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             read_state_file(path)
 
+    @pytest.mark.parametrize("read", [read_state_file, load_trace])
+    def test_deep_nesting_is_value_error(self, tmp_path, read):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            read(path)
+
     def test_capacity_cap(self, tmp_path):
         path = tmp_path / "s.json"
         s = random_state(2, 3, seed=0)
