@@ -40,9 +40,10 @@ from .fileio import (
     save_trace,
 )
 from .reduction import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, STRATEGIES,
-                        invert_rotations, reduce)
+                        invert_rotations, reduce, stacked_entries)
 from .spectral import schmidt_coefficients
-from .state import NORM_ATOL, UNITARITY_ATOL, random_state, unitarity_defect
+from .state import (NORM_ATOL, UNITARITY_ATOL, index_encode, random_state,
+                    unitarity_defect)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -61,11 +62,12 @@ def _fail(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _run(command, *args, where=None) -> int:
+def _run(command, *args) -> int:
     """Return ``command(*args)``, or the exit code of the failure it raised.
 
     The one table from failures to exit codes; the failure is reported on
-    stderr after ``where``, when given. Any other error is a bug and propagates.
+    stderr as raised, so whatever raises it names the file it concerns.
+    Any other error is a bug and propagates.
     """
     try:
         return command(*args)
@@ -75,7 +77,7 @@ def _run(command, *args, where=None) -> int:
         code, error = EXIT_NO_CONVERGENCE, exc
     except InternalConsistencyError as exc:
         code, error = EXIT_VERIFY_FAILED, exc
-    _fail(f"{where}: {error}" if where else error)
+    _fail(error)
     return code
 
 
@@ -114,6 +116,8 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         trace, report = exc.trace, exc.report
         code = EXIT_NO_CONVERGENCE
         _fail(f"{input_path}: {exc}")
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"{input_path}: {exc}") from exc
 
     duration = time.perf_counter() - started
     # Each output is written to a sibling temp name that --batch never takes
@@ -135,7 +139,7 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         for path in temps + placed:
             if path.is_file():
                 path.unlink()
-        raise OSError(f"cannot write outputs: {exc}") from exc
+        raise OSError(f"{input_path}: cannot write outputs: {exc}") from exc
     print(f"{input_path}: converged={report.converged} "
           f"support {report.support_before} -> {report.support_after} "
           f"(bound {report.bound}), {len(trace.rotations)} rotations")
@@ -160,7 +164,7 @@ def cmd_reduce(args) -> int:
         # Runs are independent; processed sequentially here.
         return max(
             _run(_reduce_single, p, _derived(p, "reduced"), _derived(p, "trace"),
-                 _derived(p, "report"), args, where=p)
+                 _derived(p, "report"), args)
             for p in inputs
         )
     if not args.input:
@@ -174,7 +178,7 @@ def cmd_reduce(args) -> int:
     if len({p.resolve() for p in paths}) < len(paths):
         raise ValueError("--output, --trace and --report must each name a "
                          "file other than the input and the other outputs")
-    return _run(_reduce_single, *paths, args, where=input_path)
+    return _run(_reduce_single, *paths, args)
 
 
 def cmd_verify(args) -> int:
@@ -187,9 +191,7 @@ def cmd_verify(args) -> int:
     # The inversion folds the whole trace into one unitary per site, which
     # hides a bad rotation, so each rotation and the reduced norm are
     # checked on their own first.
-    entries = np.array([r.entries for r in rotations],
-                       dtype=np.complex128).reshape(-1, 2, 2)
-    defects = unitarity_defect(entries)
+    defects = unitarity_defect(stacked_entries(rotations))
     bad = np.flatnonzero(~(defects <= UNITARITY_ATOL))  # NaN counts as bad
     if bad.size:
         i = int(bad[0])
@@ -219,8 +221,8 @@ def cmd_schmidt(args) -> int:
                          f"got l = {state.l}")
     oracle = schmidt_coefficients(state)
     trace, _ = reduce(state)
-    n = state.n
-    diag = np.abs(trace.final_state.amplitudes[[i * (n + 1) for i in range(n)]])
+    diag = np.abs(trace.final_state.amplitudes[
+        [index_encode((i, i), state.n) for i in range(state.n)]])
     diag = np.sort(diag)[::-1]
     coeffs = oracle.schmidt_coefficients
     difference = float(np.max(np.abs(diag - coeffs)))

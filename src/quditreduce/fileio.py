@@ -18,7 +18,8 @@ import json
 import numpy as np
 
 from .errors import CapacityError
-from .reduction import DecompositionTrace, LocalRotation, ReductionReport
+from .reduction import (DecompositionTrace, LocalRotation, ReductionReport,
+                        stacked_entries)
 from .state import DEFAULT_SIZE_CAP, NORM_ATOL, PureState
 
 STATE_FORMAT = "qudit-state/1"
@@ -73,19 +74,22 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
     return _complex(raw)
 
 
-def _read_doc(path, fmt: str) -> dict:
-    """Load a JSON object and check its format tag, n >= 2 and l >= 1."""
-    with open(path) as fh:
-        try:
+def _read_doc(path, fmt: str, parse):
+    """Load a JSON object, check its format tag, n >= 2 and l >= 1, and
+    return ``parse(doc)``. Every ValueError names ``path``, once."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-    _require(isinstance(doc, dict), f"{fmt} file must hold a JSON object")
-    _require(doc.get("format") == fmt,
-             f"unrecognized format {doc.get('format')!r}, expected {fmt!r}")
-    _int(doc.get("n"), "field 'n'", 2)
-    _int(doc.get("l"), "field 'l'", 1)
-    return doc
+        _require(isinstance(doc, dict), f"{fmt} file must hold a JSON object")
+        _require(doc.get("format") == fmt,
+                 f"unrecognized format {doc.get('format')!r}, expected {fmt!r}")
+        _int(doc.get("n"), "field 'n'", 2)
+        _int(doc.get("l"), "field 'l'", 1)
+        return parse(doc)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_state_file(path):
@@ -95,14 +99,15 @@ def read_state_file(path):
     amplitudes; ``seed`` is the recorded generator seed or None. Use
     load_state for the norm-checked variant.
     """
-    doc = _read_doc(path, STATE_FORMAT)
-    n, l, seed = doc["n"], doc["l"], doc.get("seed")
-    amps = _parse_pairs(doc.get("amplitudes"), "amplitudes")
-    _require(len(amps) == n**l,
-             f"expected {n**l} amplitudes for n={n}, l={l}, got {len(amps)}")
-    if seed is not None:
-        _int(seed, "field 'seed'")
-    return n, l, amps, seed
+    def parse(doc):
+        n, l, seed = doc["n"], doc["l"], doc.get("seed")
+        amps = _parse_pairs(doc.get("amplitudes"), "amplitudes")
+        _require(len(amps) == n**l,
+                 f"expected {n**l} amplitudes for n={n}, l={l}, got {len(amps)}")
+        if seed is not None:
+            _int(seed, "field 'seed'")
+        return n, l, amps, seed
+    return _read_doc(path, STATE_FORMAT, parse)
 
 
 def load_state(path, *, size_cap: int = DEFAULT_SIZE_CAP):
@@ -115,11 +120,11 @@ def load_state(path, *, size_cap: int = DEFAULT_SIZE_CAP):
     n, l, amps, seed = read_state_file(path)
     if n**l > size_cap:
         raise CapacityError(
-            f"state file holds {n**l} amplitudes, over the cap {size_cap}"
+            f"{path} holds {n**l} amplitudes, over the cap {size_cap}"
         )
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     _require(abs(norm_sq**0.5 - 1.0) <= MAX_NORM_DEVIATION,
-             f"state file norm {norm_sq**0.5!r} deviates from 1 by more "
+             f"{path}: norm {norm_sq**0.5!r} deviates from 1 by more "
              f"than {MAX_NORM_DEVIATION}")
     renormalized = abs(norm_sq - 1.0) > NORM_ATOL
     if renormalized:
@@ -141,8 +146,6 @@ def save_state(path, state: PureState, *, seed: int | None = None) -> None:
 
 def save_trace(path, trace: DecompositionTrace) -> None:
     final, rotations = trace.final_state, trace.rotations
-    entries = np.array([r.entries for r in rotations],
-                       dtype=np.complex128).reshape(-1, 2, 2)
     _dump(path, {
         "format": TRACE_FORMAT,
         "n": final.n,
@@ -151,39 +154,40 @@ def save_trace(path, trace: DecompositionTrace) -> None:
         "rotations": [
             {"stage": r.stage, "site": r.site, "level_a": r.level_a,
              "level_b": r.level_b, "entries": e}
-            for r, e in zip(rotations, _pairs(entries))
+            for r, e in zip(rotations, _pairs(stacked_entries(rotations)))
         ],
     })
 
 
 def load_trace(path):
     """Returns (n, l, original_norm, rotations)."""
-    doc = _read_doc(path, TRACE_FORMAT)
-    n, l = doc["n"], doc["l"]
-    original_norm = doc.get("original_norm", 1.0)
-    _require(type(original_norm) in _NUMBER,
-             "field 'original_norm' must be a number")
-    raw = doc.get("rotations")
-    _require(isinstance(raw, list), "field 'rotations' must be a list")
-    fields, pairs = [], []
-    for i, r in enumerate(raw):
-        try:
-            stage, site, a, b = [_int(r[key], key) for key in _ROTATION_INTS]
-            (e00, e01), (e10, e11) = r["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
-        if not (_is_pair(e00) and _is_pair(e01)
-                and _is_pair(e10) and _is_pair(e11)):
-            raise ValueError(f"rotations[{i}] is malformed: entries must be "
-                             f"[re, im] number pairs")
-        _require(0 <= site < l and 0 <= a < b < n,
-                 f"rotations[{i}] has out-of-range site or levels")
-        fields.append((stage, site, a, b))
-        pairs += (e00, e01, e10, e11)
-    # One conversion for all entries; each rotation gets a 2x2 view.
-    rotations = [LocalRotation(*f, entries=e)
-                 for f, e in zip(fields, _complex(pairs).reshape(-1, 2, 2))]
-    return n, l, float(original_norm), rotations
+    def parse(doc):
+        n, l = doc["n"], doc["l"]
+        original_norm = doc.get("original_norm", 1.0)
+        _require(type(original_norm) in _NUMBER,
+                 "field 'original_norm' must be a number")
+        raw = doc.get("rotations")
+        _require(isinstance(raw, list), "field 'rotations' must be a list")
+        fields, pairs = [], []
+        for i, r in enumerate(raw):
+            try:
+                stage, site, a, b = [_int(r[key], key) for key in _ROTATION_INTS]
+                (e00, e01), (e10, e11) = r["entries"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
+            if not (_is_pair(e00) and _is_pair(e01)
+                    and _is_pair(e10) and _is_pair(e11)):
+                raise ValueError(f"rotations[{i}] is malformed: entries must be "
+                                 f"[re, im] number pairs")
+            _require(0 <= site < l and 0 <= a < b < n,
+                     f"rotations[{i}] has out-of-range site or levels")
+            fields.append((stage, site, a, b))
+            pairs += (e00, e01, e10, e11)
+        # One conversion for all entries; each rotation gets a 2x2 view.
+        rotations = [LocalRotation(*f, entries=e)
+                     for f, e in zip(fields, _complex(pairs).reshape(-1, 2, 2))]
+        return n, l, float(original_norm), rotations
+    return _read_doc(path, TRACE_FORMAT, parse)
 
 
 def report_to_dict(report: ReductionReport, *, tool_version: str,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, NonConvergenceError
-from .state import MultiIndex, PureState, index_encode, rotate_pair_inplace
+from .state import (MultiIndex, PureState, index_encode, rotate_pair_inplace,
+                    site_view)
 
 STRATEGIES = ("greedy", "round-robin")
 
@@ -278,6 +279,12 @@ def reduce(state: PureState, strategy: str = "greedy",
     return trace, report
 
 
+def stacked_entries(rotations) -> np.ndarray:
+    """The rotations' entries as one complex (R, 2, 2) array, R >= 0."""
+    return np.array([r.entries for r in rotations],
+                    dtype=np.complex128).reshape(-1, 2, 2)
+
+
 def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
                      rotations) -> np.ndarray:
     """Apply the conjugate-transpose rotations in reverse order to a raw
@@ -287,11 +294,10 @@ def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
     a tensor product of one n x n unitary per site. Folding each
     rotation's conjugate transpose into two rows of its site's unitary
     costs O(n) per rotation; the amplitudes are then touched once per
-    site that any rotation acts on.
+    site that any rotation acts on, through ``site_view``.
     """
     rotations = list(rotations)
-    entries = np.array([r.entries for r in rotations],
-                       dtype=np.complex128).reshape(-1, 2, 2)
+    entries = stacked_entries(rotations)
     # Rows of each touched site's unitary, as lists of Python complex:
     # per-rotation numpy calls on n-vectors cost more than the arithmetic.
     unitaries: dict[int, list[list[complex]]] = {}
@@ -308,9 +314,7 @@ def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
 
     work = np.array(amplitudes, dtype=np.complex128)
     for site, rows in unitaries.items():
-        # Little-endian flat order: site 0 is the fastest-varying digit.
-        view = work.reshape(n**(l - 1 - site), n, n**site)
-        work = np.matmul(np.array(rows), view).reshape(-1)
+        work = np.matmul(np.array(rows), site_view(work, n, l, site)).reshape(-1)
     return work
 
 

@@ -112,26 +112,25 @@ def amplitude_at(state: PureState, digits) -> complex:
     return complex(state.amplitudes[index_encode(digits, state.n)])
 
 
+def site_view(amps: np.ndarray, n: int, l: int, site: int) -> np.ndarray:
+    """The (n**(l-1-site), n, n**site) view of a flat vector, whose middle
+    axis is the digit at ``site``: the one map from a site to an axis."""
+    return amps.reshape(n**(l - 1 - site), n, n**site)
+
+
 def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
                         level_a: int, level_b: int, rot: np.ndarray) -> None:
-    """Mix levels (level_a, level_b) of ``site`` by ``rot``, in place.
+    """Mix rows level_a and level_b of ``site_view`` by ``rot``, in place.
 
     Kernel of apply_plane_rotation and of the elimination loop; trace
     inversion folds rotations into one unitary per site instead of
     replaying them through here. No argument validation here. ``amps``
     must be a contiguous length n**l complex vector.
     """
-    arr = amps.reshape((n,) * l)
-    axis = l - 1 - site  # little-endian flat order: site 0 varies fastest
-    sl = [slice(None)] * l
-    sl[axis] = level_a
-    sl_a = tuple(sl)
-    sl[axis] = level_b
-    sl_b = tuple(sl)
-    va = arr[sl_a].copy()
-    vb = arr[sl_b].copy()
-    arr[sl_a] = rot[0, 0] * va + rot[0, 1] * vb
-    arr[sl_b] = rot[1, 0] * va + rot[1, 1] * vb
+    v = site_view(amps, n, l, site)
+    va, vb = v[:, level_a].copy(), v[:, level_b].copy()
+    v[:, level_a] = rot[0, 0] * va + rot[0, 1] * vb
+    v[:, level_b] = rot[1, 0] * va + rot[1, 1] * vb
 
 
 def unitarity_defect(rot) -> np.ndarray:

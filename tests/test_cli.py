@@ -233,6 +233,16 @@ class TestReduce:
         for kind in ("reduced", "trace", "report"):
             assert (tmp_path / f"b.{kind}.json").is_file()
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_failed_input_named_once(self, tmp_path, capsys, batch):
+        # A missing input on its own, or a deeply nested one in a batch.
+        path = tmp_path / "a.json"
+        if batch:
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        args = ["--batch", str(tmp_path)] if batch else ["--input", str(path)]
+        assert main(["reduce", *args]) == 1
+        assert capsys.readouterr().err.count("a.json") == 1
+
     @pytest.mark.parametrize("flags", [
         ["--output", "s.json"],
         ["--trace", "s.json"],
@@ -334,6 +344,20 @@ class TestVerify:
                      str(trace), "--reduced", str(reduced)])
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--original", "--trace", "--reduced"])
+    def test_malformed_file_is_named(self, tmp_path, capsys, flag):
+        # One truncated state file: a bad state, and no trace at all.
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(original.read_text())
+        doc["amplitudes"] = doc["amplitudes"][:1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        files = {"--original": original, "--trace": trace, "--reduced": reduced}
+        files[flag] = bad
+        code = main(["verify", *(str(x) for kv in files.items() for x in kv)])
+        assert code == 1
+        assert capsys.readouterr().err.count(str(bad)) == 1
 
     def test_shape_mismatch_exits_1(self, tmp_path):
         original, trace, _ = self._reduce(tmp_path)

@@ -145,6 +145,30 @@ class TestApplyPlaneRotation:
             if index_decode(flat, 3, 3)[site] == 1:
                 assert out.amplitudes[flat] == s.amplitudes[flat]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 4), st.data())
+    def test_matches_digit_swap_reference(self, n, l, data):
+        # The reference pairs flat indices through index_decode and
+        # index_encode only, so it shares no reshape with the kernel: each
+        # index with digit a at ``site`` meets the one with digit b there.
+        site = data.draw(st.integers(0, l - 1))
+        a = data.draw(st.integers(0, n - 2))
+        b = data.draw(st.integers(a + 1, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rot = random_unitary_2x2(np.random.default_rng(seed))
+        s = random_state(n, l, seed=seed)
+        expected = s.amplitudes.copy()
+        for flat in range(s.dim):
+            digits = index_decode(flat, n, l)
+            if digits[site] == a:
+                partner = index_encode(
+                    digits[:site] + (b,) + digits[site + 1:], n)
+                x, y = s.amplitudes[flat], s.amplitudes[partner]
+                expected[flat] = rot[0, 0] * x + rot[0, 1] * y
+                expected[partner] = rot[1, 0] * x + rot[1, 1] * y
+        out = apply_plane_rotation(s, site, a, b, rot)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-14
+
     def test_rejects_nonunitary(self):
         s = random_state(2, 2, seed=0)
         with pytest.raises(InvalidRotationError):
