@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError
 from .reduction import (DecompositionTrace, LocalRotation, ReductionReport,
                         stacked_entries)
-from .state import DEFAULT_SIZE_CAP, NORM_ATOL, PureState
+from .state import DEFAULT_SIZE_CAP, NORM_ATOL, PureState, check_shape
 
 STATE_FORMAT = "qudit-state/1"
 TRACE_FORMAT = "qudit-trace/1"
@@ -39,12 +39,10 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _int(value, what: str, low: int | None = None) -> int:
-    """A JSON integer (at least ``low`` when given); type() rather than
-    isinstance() so that booleans are rejected."""
-    if type(value) is not int or (low is not None and value < low):
-        raise ValueError(f"{what} must be an integer"
-                         + ("" if low is None else f" >= {low}"))
+def _int(value, what: str) -> int:
+    """A JSON integer: type(), not isinstance(), so booleans are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer")
     return value
 
 
@@ -75,7 +73,7 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
 
 
 def _read_doc(path, fmt: str, parse):
-    """Load a JSON object, check its format tag, n >= 2 and l >= 1, and
+    """Load a JSON object, check its format tag and check_shape(n, l), and
     return ``parse(doc)``. Every ValueError names ``path``, once."""
     try:
         with open(path) as fh:
@@ -83,8 +81,8 @@ def _read_doc(path, fmt: str, parse):
         _require(isinstance(doc, dict), f"{fmt} file must hold a JSON object")
         _require(doc.get("format") == fmt,
                  f"unrecognized format {doc.get('format')!r}, expected {fmt!r}")
-        _int(doc.get("n"), "field 'n'", 2)
-        _int(doc.get("l"), "field 'l'", 1)
+        check_shape(_int(doc.get("n"), "field 'n'"),
+                    _int(doc.get("l"), "field 'l'"))
         return parse(doc)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
@@ -111,17 +109,16 @@ def read_state_file(path):
 
 
 def load_state(path, *, size_cap: int = DEFAULT_SIZE_CAP):
-    """Load a state file as a normalized PureState.
-
-    Returns (state, renormalized, seed). Rejects files whose norm
-    deviates from 1 by more than 1e-8; smaller deviations beyond the
-    in-memory tolerance are silently repaired with renormalized=True.
+    """Load a state file as a normalized PureState: (state, renormalized,
+    seed). ``size_cap`` can only lower the DEFAULT_SIZE_CAP of every file.
+    A norm off 1 by more than 1e-8 is rejected; a smaller deviation beyond
+    the in-memory tolerance is repaired, with renormalized=True.
     """
     n, l, amps, seed = read_state_file(path)
-    if n**l > size_cap:
-        raise CapacityError(
-            f"{path} holds {n**l} amplitudes, over the cap {size_cap}"
-        )
+    try:
+        check_shape(n, l, size_cap)
+    except CapacityError as exc:
+        raise CapacityError(f"{path}: {exc}") from exc
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     _require(abs(norm_sq**0.5 - 1.0) <= MAX_NORM_DEVIATION,
              f"{path}: norm {norm_sq**0.5!r} deviates from 1 by more "

@@ -86,12 +86,11 @@ def _rotate_out(a: np.ndarray, p: int, q: int) -> None:
     a[q, p] = 0.0
 
 
-def hermitian_eigenvalues(matrix, *, tol: float = SWEEP_TOL,
-                          max_sweeps: int = MAX_SWEEPS):
+def hermitian_eigenvalues(matrix):
     """Eigenvalues of a Hermitian matrix by cyclic-by-rows Jacobi sweeps.
 
     Sweeps rotate away every off-diagonal pair in turn until the
-    off-diagonal Frobenius norm drops below ``tol`` or ``max_sweeps``
+    off-diagonal Frobenius norm drops below SWEEP_TOL or MAX_SWEEPS
     is reached. Returns (eigenvalues in diagonal order, final residual);
     never raises on slow convergence, callers judge the residual.
     """
@@ -101,7 +100,7 @@ def hermitian_eigenvalues(matrix, *, tol: float = SWEEP_TOL,
     m = a.shape[0]
     residual = _offdiag_norm(a)
     sweeps = 0
-    while residual >= tol and sweeps < max_sweeps:
+    while residual >= SWEEP_TOL and sweeps < MAX_SWEEPS:
         for p in range(m - 1):
             for q in range(p + 1, m):
                 _rotate_out(a, p, q)

@@ -173,6 +173,16 @@ def apply_plane_rotation(state: PureState, site: int, level_a: int,
     return PureState(state.n, state.l, work)
 
 
+def check_shape(n: int, l: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    """Require n >= 2, l >= 1 and n**l <= size_cap; return n**l. Forms n**l
+    only for l < size_cap.bit_length(): for n >= 2 a larger l is over."""
+    if n < 2 or l < 1:
+        raise ValueError(f"need n >= 2 and l >= 1, got n={n}, l={l}")
+    if l >= size_cap.bit_length() or n**l > size_cap:
+        raise CapacityError(f"n**l = {n}**{l} exceeds the amplitude cap {size_cap}")
+    return n**l
+
+
 def random_state(n: int, l: int, seed: int, *,
                  size_cap: int = DEFAULT_SIZE_CAP) -> PureState:
     """Seeded Haar-like random state: iid standard-normal real and
@@ -180,17 +190,9 @@ def random_state(n: int, l: int, seed: int, *,
 
     Uses numpy's default_rng (PCG64), so a given seed reproduces the
     same amplitudes on every run. Raises CapacityError when n**l
-    exceeds ``size_cap``.
+    exceeds ``size_cap``, which may lower or raise the default cap.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    dim = n**l
-    if dim > size_cap:
-        raise CapacityError(
-            f"n**l = {n}**{l} = {dim} exceeds the amplitude cap {size_cap}"
-        )
+    dim = check_shape(n, l, size_cap)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     amps /= np.linalg.norm(amps)

@@ -48,6 +48,13 @@ class TestRandom:
         assert code == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_huge_l_names_the_cap(self, tmp_path, capsys):
+        # 2**100000 has more digits than int-to-str conversion allows.
+        code = main(["random", "--n", "2", "--l", "100000", "--seed", "1",
+                     "--output", str(tmp_path / "big.json")])
+        assert code == 1
+        assert "cap" in capsys.readouterr().err
+
     def test_missing_output_directory_exits_1(self, tmp_path, capsys):
         code = main(["random", "--n", "2", "--l", "2", "--seed", "1",
                      "--output", str(tmp_path / "missing" / "s.json")])
@@ -359,6 +366,49 @@ class TestVerify:
         assert code == 1
         assert capsys.readouterr().err.count(str(bad)) == 1
 
+    def test_rephased_amplitude_fails_round_trip(self, tmp_path, capsys):
+        # A unit phase on one reduced amplitude keeps its norm exactly, so
+        # only the round trip can catch it.
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(reduced.read_text())
+        re, im = doc["amplitudes"][0]
+        doc["amplitudes"][0] = [-im, re]
+        reduced.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "verification FAILED"
+
+    def test_small_error_on_every_amplitude_fails(self, tmp_path, capsys):
+        # 0.9e-9 in a random phase on each of 4096 amplitudes of the
+        # original: below 1e-9 in every amplitude, 5.76e-8 in 2-norm.
+        original, trace, reduced = self._reduce(tmp_path, 2, 12, 3)
+        doc = json.loads(original.read_text())
+        amps = np.array(doc["amplitudes"]) @ [1, 1j]
+        amps += 0.9e-9 * np.exp(2j * np.pi * np.random.default_rng(0).random(4096))
+        doc["amplitudes"] = [[a.real, a.imag] for a in amps.tolist()]
+        original.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 3
+        assert "2-norm error: 5.75" in capsys.readouterr().out
+
+    def test_renormalized_original_verifies(self, tmp_path):
+        # reduce renormalizes an input whose norm is off by 5e-9; verify
+        # loads the original the same way, so the round trip matches.
+        path = random_file(tmp_path / "s.json", 3, 2, 5)
+        doc = json.loads(path.read_text())
+        doc["amplitudes"] = [[re * (1 + 5e-9), im * (1 + 5e-9)]
+                             for re, im in doc["amplitudes"]]
+        path.write_text(json.dumps(doc))
+        assert main(["reduce", "--input", str(path)]) == 0
+        report = json.loads((tmp_path / "s.report.json").read_text())
+        assert report["input_renormalized"] is True
+        code = main(["verify", "--original", str(path), "--trace",
+                     str(tmp_path / "s.trace.json"), "--reduced",
+                     str(tmp_path / "s.reduced.json")])
+        assert code == 0
+
     def test_shape_mismatch_exits_1(self, tmp_path):
         original, trace, _ = self._reduce(tmp_path)
         other = random_file(tmp_path / "other.json", 2, 2, 0)
@@ -406,6 +456,25 @@ class TestSchmidt:
         monkeypatch.setattr(cli, "schmidt_coefficients", boom)
         path = bell_file(tmp_path / "bell.json")
         assert main(["schmidt", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["reduce", "schmidt", "verify"])
+def test_huge_header_exits_1_naming_file_and_cap(tmp_path, capsys, command):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"format": "qudit-state/1", "n": 2, "l": 10**7,
+                               "amplitudes": [[1, 0]]}))
+    args = [command, "--input", str(big)]
+    if command == "verify":
+        small = random_file(tmp_path / "s.json", 2, 2, 1)
+        assert main(["reduce", "--input", str(small)]) == 0
+        args = ["verify", "--original", str(big),
+                "--trace", str(tmp_path / "s.trace.json"),
+                "--reduced", str(tmp_path / "s.reduced.json")]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count(str(big)) == 1
+    assert "cap" in err
 
 
 class TestParser:

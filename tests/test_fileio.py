@@ -13,6 +13,7 @@ from quditreduce import (
 from quditreduce.fileio import (
     MAX_NORM_DEVIATION,
     STATE_FORMAT,
+    TRACE_FORMAT,
     file_digest,
     load_state,
     load_trace,
@@ -166,8 +167,29 @@ class TestStateValidation:
         with pytest.raises(CapacityError):
             load_state(path, size_cap=4)
 
+    @pytest.mark.parametrize("read, fmt", [(read_state_file, STATE_FORMAT),
+                                           (load_state, STATE_FORMAT),
+                                           (load_trace, TRACE_FORMAT)])
+    def test_huge_header_is_over_the_cap(self, tmp_path, read, fmt):
+        # n**l of this header has 3,010,300 digits; it is never formed.
+        path = tmp_path / "s.json"
+        write_doc(path, {"format": fmt, "n": 2, "l": 10**7,
+                         "amplitudes": [[1, 0]], "original_norm": 1.0,
+                         "rotations": []})
+        with pytest.raises(ValueError, match="exceeds the amplitude cap") as info:
+            read(path)
+        assert str(info.value).count(str(path)) == 1
+
 
 class TestTraceFiles:
+    @pytest.mark.parametrize("n, l", [(1, 2), (2, 0)])
+    def test_rejects_bad_shape(self, tmp_path, n, l):
+        path = tmp_path / "t.json"
+        write_doc(path, {"format": TRACE_FORMAT, "n": n, "l": l,
+                         "original_norm": 1.0, "rotations": []})
+        with pytest.raises(ValueError, match="need n >= 2 and l >= 1"):
+            load_trace(path)
+
     def test_round_trip(self, tmp_path):
         s = random_state(3, 2, seed=14)
         trace, _ = reduce(s)

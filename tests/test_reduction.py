@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quditreduce import reduction
 from quditreduce import (
+    InternalConsistencyError,
     NonConvergenceError,
     PureState,
     amplitude_at,
@@ -367,6 +369,20 @@ class TestReduce:
         assert err.trace.rotations[0].stage == 1
         back = invert_trace(err.trace)
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
+
+    def test_revived_earlier_target_is_inconsistent(self, monkeypatch):
+        eliminate = reduction.eliminate_stage
+
+        def reviving(state, k, *args):
+            out, rotations, report = eliminate(state, k, *args)
+            if k == 1:
+                out.amplitudes[1] = 1e-6  # stage-0 target: digit 1 at site 0
+            return out, rotations, report
+
+        monkeypatch.setattr(reduction, "eliminate_stage", reviving)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"stage 1 .* magnitude 1\.000e-06"):
+            reduce(random_state(3, 2, seed=1))
 
 
 class TestInvertTrace:

@@ -15,6 +15,7 @@ from quditreduce import (
     product_state,
     random_state,
 )
+from quditreduce.state import DEFAULT_SIZE_CAP, check_shape
 
 RT2 = np.sqrt(2.0)
 
@@ -236,6 +237,29 @@ class TestRandomState:
             random_state(1, 2, seed=0)
         with pytest.raises(ValueError):
             random_state(2, 0, seed=0)
+
+
+class TestCheckShape:
+    def test_returns_size_up_to_the_cap(self):
+        assert check_shape(2, 26) == DEFAULT_SIZE_CAP
+        assert check_shape(3, 2, size_cap=9) == 9
+        # The cap may be raised as well as lowered.
+        assert check_shape(2, 27, size_cap=2**27) == 2**27
+
+    @pytest.mark.parametrize("n, l, cap", [
+        (2, 27, DEFAULT_SIZE_CAP), (3, 17, DEFAULT_SIZE_CAP),
+        (10**9, 1, DEFAULT_SIZE_CAP), (3, 3, 26), (2, 1, 1),
+        # 2**(10**18) cannot be formed at all; it must not be tried.
+        (2, 10**18, DEFAULT_SIZE_CAP),
+    ])
+    def test_over_the_cap(self, n, l, cap):
+        with pytest.raises(CapacityError, match=f"cap {cap}"):
+            check_shape(n, l, size_cap=cap)
+
+    @pytest.mark.parametrize("n, l", [(1, 2), (0, 10**18), (2, 0), (3, -1)])
+    def test_bad_shape(self, n, l):
+        with pytest.raises(ValueError, match="need n >= 2 and l >= 1"):
+            check_shape(n, l)
 
 
 class TestProductState:
