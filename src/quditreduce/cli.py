@@ -42,8 +42,8 @@ from .fileio import (
 from .reduction import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, STRATEGIES,
                         invert_rotations, reduce, stacked_entries)
 from .spectral import schmidt_coefficients
-from .state import (NORM_ATOL, UNITARITY_ATOL, index_encode, random_state,
-                    unitarity_defect)
+from .state import (check_normalized, check_unitary, index_encode,
+                    random_state)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -191,18 +191,11 @@ def cmd_verify(args) -> int:
     # The inversion folds the whole trace into one unitary per site, which
     # hides a bad rotation, so each rotation and the reduced norm are
     # checked on their own first.
-    defects = unitarity_defect(stacked_entries(rotations))
-    bad = np.flatnonzero(~(defects <= UNITARITY_ATOL))  # NaN counts as bad
-    if bad.size:
-        i = int(bad[0])
-        print(f"verification FAILED: {bad.size} of {len(rotations)} rotations "
-              f"not unitary; rotations[{i}] has ||R R^dagger - I||_max = "
-              f"{defects[i]:.3e} > {UNITARITY_ATOL}")
-        return EXIT_VERIFY_FAILED
-    norm_drift = abs(float(np.sum(np.abs(reduced) ** 2)) - 1.0)
-    if not norm_drift <= NORM_ATOL:
-        print(f"verification FAILED: reduced state squared norm deviates "
-              f"from 1 by {norm_drift:.3e} > {NORM_ATOL}")
+    try:
+        check_unitary(stacked_entries(rotations))
+        check_normalized(reduced, "reduced state")
+    except ValueError as exc:
+        print(f"verification FAILED: {exc}")
         return EXIT_VERIFY_FAILED
     reconstructed = invert_rotations(reduced, n1, l1, rotations)
     # Not np.linalg.norm: slow on large complex vectors under threaded BLAS.

@@ -4,9 +4,10 @@ Each file is one line of JSON; layout is not part of a format. Integer
 fields must be JSON integers (booleans rejected). Amplitudes are stored
 as [real, imag] pairs. Floats go through Python's shortest-round-trip
 decimal repr, so any finite double written by this tool reloads
-bit-exactly. State files whose norm is slightly off (at most 1e-8 from
-1, e.g. hand-written fixtures) are renormalized on load and flagged;
-anything worse is rejected.
+bit-exactly; a number too large for a double is rejected. The checks in
+``state`` judge shapes, the amplitude cap and rotation planes. State files
+whose norm is slightly off (at most 1e-8 from 1, e.g. hand-written
+fixtures) are renormalized on load and flagged; anything worse is rejected.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import json
 
 import numpy as np
 
-from .errors import CapacityError
 from .reduction import (DecompositionTrace, LocalRotation, ReductionReport,
                         stacked_entries)
-from .state import DEFAULT_SIZE_CAP, NORM_ATOL, PureState, check_shape
+from .state import NORM_ATOL, PureState, check_plane, check_shape
 
 STATE_FORMAT = "qudit-state/1"
 TRACE_FORMAT = "qudit-trace/1"
@@ -61,7 +61,10 @@ def _is_pair(p) -> bool:
 def _complex(pairs: list) -> np.ndarray:
     """Checked [re, im] pairs as a complex vector."""
     flat = itertools.chain.from_iterable(pairs)
-    return np.fromiter(flat, np.float64, 2 * len(pairs)).view(np.complex128)
+    try:
+        return np.fromiter(flat, np.float64, 2 * len(pairs)).view(np.complex128)
+    except OverflowError:
+        raise ValueError("a number is too large for a double") from None
 
 
 def _parse_pairs(raw, what: str) -> np.ndarray:
@@ -74,7 +77,8 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
 
 def _read_doc(path, fmt: str, parse):
     """Load a JSON object, check its format tag and check_shape(n, l), and
-    return ``parse(doc)``. Every ValueError names ``path``, once."""
+    return ``parse(doc)``. Every ValueError names ``path``, once, and keeps
+    its class, so an over-cap header raises CapacityError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -86,8 +90,11 @@ def _read_doc(path, fmt: str, parse):
         return parse(doc)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except UnicodeDecodeError as exc:  # its message ignores exc.args
+        raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_state_file(path):
@@ -108,17 +115,13 @@ def read_state_file(path):
     return _read_doc(path, STATE_FORMAT, parse)
 
 
-def load_state(path, *, size_cap: int = DEFAULT_SIZE_CAP):
+def load_state(path):
     """Load a state file as a normalized PureState: (state, renormalized,
-    seed). ``size_cap`` can only lower the DEFAULT_SIZE_CAP of every file.
-    A norm off 1 by more than 1e-8 is rejected; a smaller deviation beyond
-    the in-memory tolerance is repaired, with renormalized=True.
+    seed). The shape and cap are those of read_state_file. A norm off 1
+    by more than 1e-8 is rejected; a smaller deviation beyond the
+    in-memory tolerance is repaired, with renormalized=True.
     """
     n, l, amps, seed = read_state_file(path)
-    try:
-        check_shape(n, l, size_cap)
-    except CapacityError as exc:
-        raise CapacityError(f"{path}: {exc}") from exc
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     _require(abs(norm_sq**0.5 - 1.0) <= MAX_NORM_DEVIATION,
              f"{path}: norm {norm_sq**0.5!r} deviates from 1 by more "
@@ -169,6 +172,7 @@ def load_trace(path):
         for i, r in enumerate(raw):
             try:
                 stage, site, a, b = [_int(r[key], key) for key in _ROTATION_INTS]
+                check_plane(n, l, site, a, b)
                 (e00, e01), (e10, e11) = r["entries"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
@@ -176,8 +180,6 @@ def load_trace(path):
                     and _is_pair(e10) and _is_pair(e11)):
                 raise ValueError(f"rotations[{i}] is malformed: entries must be "
                                  f"[re, im] number pairs")
-            _require(0 <= site < l and 0 <= a < b < n,
-                     f"rotations[{i}] has out-of-range site or levels")
             fields.append((stage, site, a, b))
             pairs += (e00, e01, e10, e11)
         # One conversion for all entries; each rotation gets a 2x2 view.

@@ -3,6 +3,8 @@
 Flat indexing is little-endian: site 0 is the least significant digit,
 so a basis label with digits (d_0, ..., d_{l-1}) sits at flat index
 sum_i d_i * n**i. All file formats and tests rely on this convention.
+The check_* functions alone decide a valid shape (under one fixed
+amplitude cap), norm, rotation and plane; each rejects NaN.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import CapacityError, InvalidIndexError, InvalidRotationError
 #: A basis label: one digit in [0, n) per site, site 0 first.
 MultiIndex = tuple[int, ...]
 
-#: Default cap on the number of amplitudes a state may hold.
+#: Cap on the number of amplitudes any state may hold.
 DEFAULT_SIZE_CAP = 2**26
 
 #: Allowed deviation of the squared norm from 1 at construction time.
@@ -25,6 +27,45 @@ NORM_ATOL = 1e-10
 
 #: Allowed max-entry deviation of rot @ rot^dagger from the identity.
 UNITARITY_ATOL = 1e-10
+
+
+def check_shape(n: int, l: int) -> int:
+    """Require n >= 2, l >= 1 and n**l <= DEFAULT_SIZE_CAP; return n**l.
+    Forms n**l only for l < 27: for n >= 2 a larger l is over the cap."""
+    if n < 2 or l < 1:
+        raise ValueError(f"need n >= 2 and l >= 1, got n={n}, l={l}")
+    if l >= DEFAULT_SIZE_CAP.bit_length() or n**l > DEFAULT_SIZE_CAP:
+        raise CapacityError(
+            f"n**l = {n}**{l} exceeds the amplitude cap {DEFAULT_SIZE_CAP}")
+    return n**l
+
+
+def check_normalized(amps, what: str) -> None:
+    """Require the squared norm of ``amps`` within NORM_ATOL of one."""
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm_sq - 1.0) <= NORM_ATOL:
+        raise ValueError(f"{what} not normalized: squared norm {norm_sq!r} "
+                         f"deviates from 1 by more than {NORM_ATOL}")
+
+
+def check_unitary(entries) -> None:
+    """Require each 2x2 matrix R of the complex (k, 2, 2) array ``entries``
+    to have R R^dagger within UNITARITY_ATOL of the identity, entry by entry."""
+    gram = entries @ np.swapaxes(entries, -1, -2).conj()
+    defects = np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
+    bad = np.flatnonzero(~(defects <= UNITARITY_ATOL))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidRotationError(
+            f"{bad.size} of {len(defects)} rotations not unitary; rotations[{i}] "
+            f"has ||R R^dagger - I||_max = {defects[i]:.3e} > {UNITARITY_ATOL}")
+
+
+def check_plane(n: int, l: int, site: int, level_a: int, level_b: int) -> None:
+    """Require 0 <= site < l and 0 <= level_a < level_b < n."""
+    if not (0 <= site < l and 0 <= level_a < level_b < n):
+        raise ValueError(f"out-of-range plane: site {site}, levels "
+                         f"({level_a}, {level_b}) for n={n}, l={l}")
 
 
 def index_encode(digits, n: int) -> int:
@@ -48,7 +89,7 @@ def index_encode(digits, n: int) -> int:
 def index_decode(flat: int, n: int, l: int) -> MultiIndex:
     """Inverse of index_encode: flat index to per-site digits."""
     flat = int(flat)
-    if not 0 <= flat < n**l:
+    if not 0 <= flat < check_shape(n, l):
         raise InvalidIndexError(f"flat index {flat} outside [0, {n}**{l})")
     digits = []
     for _ in range(l):
@@ -72,23 +113,14 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2 levels per site, got {self.n}")
-        if self.l < 1:
-            raise ValueError(f"need l >= 1 sites, got {self.l}")
+        dim = check_shape(self.n, self.l)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        dim = self.n**self.l
         if self.amplitudes.shape != (dim,):
             raise ValueError(
                 f"expected {dim} amplitudes for n={self.n}, l={self.l}, "
                 f"got shape {self.amplitudes.shape}"
             )
-        norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise ValueError(
-                f"state not normalized: squared norm {norm_sq!r} "
-                f"deviates from 1 by more than {NORM_ATOL}"
-            )
+        check_normalized(self.amplitudes, "state")
 
     @property
     def dim(self) -> int:
@@ -133,14 +165,6 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
     v[:, level_b] = rot[1, 0] * va + rot[1, 1] * vb
 
 
-def unitarity_defect(rot) -> np.ndarray:
-    """Max-entry norm of rot @ rot^dagger - I for each 2x2 matrix in
-    ``rot`` (shape (..., 2, 2)); the result has the leading shape."""
-    rot = np.asarray(rot, dtype=np.complex128)
-    gram = rot @ np.swapaxes(rot, -1, -2).conj()
-    return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
-
-
 def apply_plane_rotation(state: PureState, site: int, level_a: int,
                          level_b: int, rot) -> PureState:
     """Apply a 2x2 unitary to span{|level_a>, |level_b>} of one site.
@@ -153,46 +177,25 @@ def apply_plane_rotation(state: PureState, site: int, level_a: int,
     Raises InvalidRotationError when ``rot`` deviates from unitarity by
     more than 1e-10 (max-entry norm of rot @ rot^dagger - I).
     """
-    if not 0 <= site < state.l:
-        raise ValueError(f"site {site} outside [0, {state.l})")
-    if not 0 <= level_a < level_b < state.n:
-        raise ValueError(
-            f"need 0 <= level_a < level_b < {state.n}, "
-            f"got ({level_a}, {level_b})"
-        )
+    check_plane(state.n, state.l, site, level_a, level_b)
     rot = np.asarray(rot, dtype=np.complex128)
     if rot.shape != (2, 2):
         raise ValueError(f"rotation must be 2x2, got shape {rot.shape}")
-    defect = unitarity_defect(rot)
-    if defect > UNITARITY_ATOL:
-        raise InvalidRotationError(
-            f"matrix is not unitary: ||rot rot^dagger - I||_max = {defect:.3e}"
-        )
+    check_unitary(rot[None])
     work = state.amplitudes.copy()
     rotate_pair_inplace(work, state.n, state.l, site, level_a, level_b, rot)
     return PureState(state.n, state.l, work)
 
 
-def check_shape(n: int, l: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Require n >= 2, l >= 1 and n**l <= size_cap; return n**l. Forms n**l
-    only for l < size_cap.bit_length(): for n >= 2 a larger l is over."""
-    if n < 2 or l < 1:
-        raise ValueError(f"need n >= 2 and l >= 1, got n={n}, l={l}")
-    if l >= size_cap.bit_length() or n**l > size_cap:
-        raise CapacityError(f"n**l = {n}**{l} exceeds the amplitude cap {size_cap}")
-    return n**l
-
-
-def random_state(n: int, l: int, seed: int, *,
-                 size_cap: int = DEFAULT_SIZE_CAP) -> PureState:
+def random_state(n: int, l: int, seed: int) -> PureState:
     """Seeded Haar-like random state: iid standard-normal real and
     imaginary parts, then normalized.
 
     Uses numpy's default_rng (PCG64), so a given seed reproduces the
     same amplitudes on every run. Raises CapacityError when n**l
-    exceeds ``size_cap``, which may lower or raise the default cap.
+    exceeds DEFAULT_SIZE_CAP.
     """
-    dim = check_shape(n, l, size_cap)
+    dim = check_shape(n, l)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     amps /= np.linalg.norm(amps)
@@ -217,9 +220,7 @@ def product_state(factors) -> PureState:
             raise ValueError(
                 f"factor {i} has shape {f.shape}, expected ({n},)"
             )
-        norm_sq = float(np.sum(np.abs(f) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise ValueError(f"factor {i} is not normalized: |f|^2 = {norm_sq!r}")
+        check_normalized(f, f"factor {i}")
     # kron puts its first argument's index in the most significant slot,
     # so fold over factors in reverse to keep site 0 least significant.
     amps = _fold(np.kron, reversed(factors))

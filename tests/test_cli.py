@@ -232,6 +232,17 @@ class TestReduce:
         assert not (tmp_path / "a.reduced.json").exists()
         assert (tmp_path / "b.reduced.json").is_file()
 
+    def test_batch_number_too_large_goes_on(self, tmp_path, capsys):
+        (tmp_path / "a.json").write_text(
+            '{"format": "qudit-state/1", "n": 2, "l": 1, '
+            '"amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}')
+        random_file(tmp_path / "b.json", 3, 2, 2)
+        assert main(["reduce", "--batch", str(tmp_path)]) == 1
+        assert "a.json" in capsys.readouterr().err
+        assert not (tmp_path / "a.reduced.json").exists()
+        for kind in ("reduced", "trace", "report"):
+            assert (tmp_path / f"b.{kind}.json").is_file()
+
     def test_batch_deeply_nested_file_goes_on(self, tmp_path, capsys):
         (tmp_path / "a.json").write_text("[" * 100_000 + "]" * 100_000)
         random_file(tmp_path / "b.json", 3, 2, 2)

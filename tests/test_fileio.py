@@ -161,11 +161,18 @@ class TestStateValidation:
             read(path)
 
     def test_capacity_cap(self, tmp_path):
+        # 2**27 amplitudes, one over the cap, judged before any is read.
         path = tmp_path / "s.json"
-        s = random_state(2, 3, seed=0)
-        save_state(path, s)
+        write_doc(path, state_doc(2, 27, [1]))
         with pytest.raises(CapacityError):
-            load_state(path, size_cap=4)
+            load_state(path)
+
+    def test_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ValueError) as info:
+            read_state_file(path)
+        assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("read, fmt", [(read_state_file, STATE_FORMAT),
                                            (load_state, STATE_FORMAT),
@@ -176,7 +183,22 @@ class TestStateValidation:
         write_doc(path, {"format": fmt, "n": 2, "l": 10**7,
                          "amplitudes": [[1, 0]], "original_norm": 1.0,
                          "rotations": []})
-        with pytest.raises(ValueError, match="exceeds the amplitude cap") as info:
+        with pytest.raises(CapacityError, match="exceeds the amplitude cap") as info:
+            read(path)
+        assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("read, fmt", [(read_state_file, STATE_FORMAT),
+                                           (load_trace, TRACE_FORMAT)])
+    def test_number_too_large_for_a_double(self, tmp_path, read, fmt):
+        # 10**400 is a JSON integer that no double can hold.
+        huge, zero = [10**400, 0], [0, 0]
+        path = tmp_path / "s.json"
+        write_doc(path, {"format": fmt, "n": 2, "l": 1,
+                         "amplitudes": [huge, zero], "original_norm": 1.0,
+                         "rotations": [{"stage": 0, "site": 0, "level_a": 0,
+                                        "level_b": 1,
+                                        "entries": [[huge, zero], [zero, huge]]}]})
+        with pytest.raises(ValueError, match="too large for a double") as info:
             read(path)
         assert str(info.value).count(str(path)) == 1
 

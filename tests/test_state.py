@@ -15,7 +15,8 @@ from quditreduce import (
     product_state,
     random_state,
 )
-from quditreduce.state import DEFAULT_SIZE_CAP, check_shape
+from quditreduce.state import (DEFAULT_SIZE_CAP, check_plane, check_shape,
+                               check_unitary)
 
 RT2 = np.sqrt(2.0)
 
@@ -74,6 +75,10 @@ class TestIndexing:
         with pytest.raises(InvalidIndexError):
             index_decode(-1, 2, 3)
 
+    def test_decode_huge_l_is_over_the_cap(self):
+        with pytest.raises(CapacityError):
+            index_decode(0, 3, 10**6)
+
 
 class TestPureState:
     def test_rejects_wrong_length(self):
@@ -96,6 +101,15 @@ class TestPureState:
             PureState(1, 2, np.array([1.0]))
         with pytest.raises(ValueError):
             PureState(2, 0, np.array([1.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(2, 1, np.array([np.nan, 0]))
+
+    def test_huge_l_is_over_the_cap(self):
+        # 3**(10**6) is never formed, not even for the shape error.
+        with pytest.raises(CapacityError, match=f"cap {DEFAULT_SIZE_CAP}"):
+            PureState(3, 10**6, np.zeros(1))
 
     def test_copy_is_independent(self):
         s = random_state(2, 2, seed=0)
@@ -175,6 +189,11 @@ class TestApplyPlaneRotation:
         with pytest.raises(InvalidRotationError):
             apply_plane_rotation(s, 0, 0, 1, np.array([[1, 1e-4], [0, 1]]))
 
+    def test_rejects_nan_rotation(self):
+        s = random_state(2, 2, seed=0)
+        with pytest.raises(InvalidRotationError):
+            apply_plane_rotation(s, 0, 0, 1, np.diag([np.nan, 1.0]))
+
     def test_accepts_almost_unitary(self):
         s = random_state(2, 2, seed=0)
         rot = np.eye(2, dtype=complex)
@@ -230,7 +249,7 @@ class TestRandomState:
         with pytest.raises(CapacityError):
             random_state(2, 40, seed=0)
         with pytest.raises(CapacityError):
-            random_state(2, 3, seed=0, size_cap=4)
+            random_state(2, 27, seed=0)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -242,19 +261,16 @@ class TestRandomState:
 class TestCheckShape:
     def test_returns_size_up_to_the_cap(self):
         assert check_shape(2, 26) == DEFAULT_SIZE_CAP
-        assert check_shape(3, 2, size_cap=9) == 9
-        # The cap may be raised as well as lowered.
-        assert check_shape(2, 27, size_cap=2**27) == 2**27
+        assert check_shape(3, 2) == 9
 
-    @pytest.mark.parametrize("n, l, cap", [
-        (2, 27, DEFAULT_SIZE_CAP), (3, 17, DEFAULT_SIZE_CAP),
-        (10**9, 1, DEFAULT_SIZE_CAP), (3, 3, 26), (2, 1, 1),
+    @pytest.mark.parametrize("n, l", [
+        (2, 27), (3, 17), (10**9, 1),
         # 2**(10**18) cannot be formed at all; it must not be tried.
-        (2, 10**18, DEFAULT_SIZE_CAP),
+        (2, 10**18),
     ])
-    def test_over_the_cap(self, n, l, cap):
-        with pytest.raises(CapacityError, match=f"cap {cap}"):
-            check_shape(n, l, size_cap=cap)
+    def test_over_the_cap(self, n, l):
+        with pytest.raises(CapacityError, match=f"cap {DEFAULT_SIZE_CAP}"):
+            check_shape(n, l)
 
     @pytest.mark.parametrize("n, l", [(1, 2), (0, 10**18), (2, 0), (3, -1)])
     def test_bad_shape(self, n, l):
@@ -298,6 +314,27 @@ class TestProductState:
     def test_rejects_unnormalized_factor(self):
         with pytest.raises(ValueError, match="not normalized"):
             product_state([[1, 0], [1, 1]])
+
+    def test_rejects_nan_factor(self):
+        with pytest.raises(ValueError, match="factor 1 not normalized"):
+            product_state([[1, 0], [np.nan, 0]])
+
+
+class TestCheckUnitary:
+    def test_names_count_and_first_bad_index(self):
+        entries = np.array([np.eye(2), np.diag([2.0, 1.0]), np.eye(2),
+                            np.diag([np.nan, 1.0])], dtype=complex)
+        with pytest.raises(InvalidRotationError,
+                           match=r"2 of 4 rotations not unitary; rotations\[1\]"):
+            check_unitary(entries)
+
+
+@pytest.mark.parametrize("site, level_a, level_b", [
+    (-1, 0, 1), (2, 0, 1), (0, 1, 1), (0, 2, 1), (0, -1, 1), (0, 0, 3),
+])
+def test_check_plane_rejects(site, level_a, level_b):
+    with pytest.raises(ValueError, match="out-of-range plane"):
+        check_plane(3, 2, site, level_a, level_b)
 
 
 @settings(max_examples=40)
