@@ -13,7 +13,6 @@ from .errors import (
 from .reduction import (
     DecompositionTrace,
     LocalRotation,
-    eliminate_stage,
     invert_trace,
     reduce,
     stage_targets,
@@ -50,7 +49,6 @@ __all__ = [
     "PureState",
     "amplitude_at",
     "apply_plane_rotation",
-    "eliminate_stage",
     "hermitian_eigenvalues",
     "index_decode",
     "index_encode",

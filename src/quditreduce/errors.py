@@ -18,16 +18,18 @@ class CapacityError(QuditReduceError, ValueError):
 
 
 class NonConvergenceError(QuditReduceError, RuntimeError):
-    """An elimination loop hit its iteration cap with residual >= epsilon.
+    """A reduction stage hit its iteration cap with residual >= epsilon.
 
-    Carries whatever partial results were available at the point of
-    failure so callers can inspect or persist them.
+    ``reduce`` raises it with the partial run, so callers can inspect or
+    persist it.
 
     Attributes:
         residual: max target magnitude when the cap was hit.
-        trace: partial decomposition trace (rotations applied so far plus
-            the state they produced), or None.
-        report: partial stage/reduction report, or None.
+        trace: partial decomposition trace (every rotation applied so far
+            plus the state they produced); inverting it gives back the
+            input.
+        report: partial reduction report, whose last stage is the one
+            that did not converge.
     """
 
     def __init__(self, message, *, residual, trace=None, report=None):

@@ -210,8 +210,12 @@ def save_report(path, report_dict: dict) -> None:
 
 
 def file_digest(path) -> str:
+    """``sha256:`` and the hex SHA-256 of the file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def _dump(path, doc: dict) -> None:

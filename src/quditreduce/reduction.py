@@ -151,10 +151,11 @@ def stage_targets(n: int, l: int, k: int) -> list[StageTarget]:
     return targets
 
 
-def eliminate_stage(state: PureState, k: int, strategy: str = "greedy",
+def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
+                    rotations: list[LocalRotation], strategy: str = "greedy",
                     epsilon: float = DEFAULT_EPSILON,
-                    max_iters: int = DEFAULT_MAX_ITERS):
-    """Drive every stage-k target below epsilon.
+                    max_iters: int = DEFAULT_MAX_ITERS) -> StageReport:
+    """Drive every stage-k target of the flat vector ``work`` below epsilon.
 
     Each step zeroes one target at or above epsilon against the anchor:
     greedy picks the largest (smallest flat index on ties), round-robin
@@ -163,21 +164,18 @@ def eliminate_stage(state: PureState, k: int, strategy: str = "greedy",
     square-summable and the loop terminates for any epsilon > 0 in exact
     arithmetic; max_iters is the practical stop.
 
-    Returns (new state, rotations, StageReport). Raises
-    NonConvergenceError carrying the stage's partial trace and report
-    when max_iters is exhausted.
+    Mixes ``work`` in place, appends each rotation to ``rotations`` and
+    returns the StageReport, whose ``converged`` is False when max_iters
+    was exhausted first.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
-    n, l = state.n, state.l
     targets = stage_targets(n, l, k)
     flats = np.array([index_encode(t.index, n) for t in targets])
     anchor = index_encode((k,) * l, n)
-    work = state.amplitudes.copy()
 
-    rotations: list[LocalRotation] = []
     anchor_history = [float(abs(work[anchor]))]
     pivot_history: list[float] = []
     cursor = 0
@@ -188,7 +186,7 @@ def eliminate_stage(state: PureState, k: int, strategy: str = "greedy",
         j = int(np.argmax(mags))
         residual = float(mags[j])
         converged = residual < epsilon
-        if converged or len(rotations) >= max_iters:
+        if converged or len(pivot_history) >= max_iters:
             break
         if strategy == "round-robin":
             live = np.flatnonzero(mags >= epsilon)
@@ -202,20 +200,11 @@ def eliminate_stage(state: PureState, k: int, strategy: str = "greedy",
         rotations.append(LocalRotation(stage=k, site=target.site, level_a=k,
                                        level_b=target.digit, entries=rot))
 
-    report = StageReport(
-        stage=k, iterations=len(rotations), residual=residual,
+    return StageReport(
+        stage=k, iterations=len(pivot_history), residual=residual,
         anchor_history=anchor_history, pivot_history=pivot_history,
         converged=converged,
     )
-    out = PureState(n, l, work)
-    if not converged:
-        raise NonConvergenceError(
-            f"stage {k} ({strategy}) still at residual {residual:.3e} "
-            f"after {max_iters} eliminations (epsilon {epsilon:.1e})",
-            residual=residual, report=report,
-            trace=DecompositionTrace(out.norm, rotations, out),
-        )
-    return out, rotations, report
 
 
 def reduce(state: PureState, strategy: str = "greedy",
@@ -224,11 +213,13 @@ def reduce(state: PureState, strategy: str = "greedy",
            support_threshold: float | None = None):
     """Run all stages k = 0 .. n-2 and report the outcome.
 
+    Every stage mixes one copy of the input's amplitudes in place.
     Returns (DecompositionTrace, ReductionReport). After each stage the
     targets of all earlier stages are re-checked; a magnitude above
-    10*epsilon there is an InternalConsistencyError. Non-convergence of
-    any stage raises NonConvergenceError carrying the partial trace and
-    report.
+    10*epsilon there is an InternalConsistencyError. The run stops at the
+    first stage that hits max_iters_per_stage and raises
+    NonConvergenceError, whose ``trace`` and ``report`` hold every
+    rotation and stage so far.
     """
     if support_threshold is None:
         support_threshold = PRESERVATION_FACTOR * epsilon
@@ -240,26 +231,17 @@ def reduce(state: PureState, strategy: str = "greedy",
         support_before=support_count(state, support_threshold),
         bound=term_bound(n, l),
     )
+    work = state.amplitudes.copy()
     rotations: list[LocalRotation] = []
-    current = state
     earlier_flats: list[int] = []
-    failure = None
 
     for k in range(n - 1):
-        try:
-            current, stage_rots, stage_report = eliminate_stage(
-                current, k, strategy, epsilon, max_iters_per_stage)
-        except NonConvergenceError as exc:
-            failure = exc
-            rotations.extend(exc.trace.rotations)
-            report.stages.append(exc.report)
-            current = exc.trace.final_state
+        stage = eliminate_stage(work, n, l, k, rotations, strategy, epsilon,
+                                max_iters_per_stage)
+        report.stages.append(stage)
+        if not stage.converged:
             break
-        rotations.extend(stage_rots)
-        report.stages.append(stage_report)
-
-        drift = float(np.max(np.abs(current.amplitudes[earlier_flats]),
-                             initial=0.0))
+        drift = float(np.max(np.abs(work[earlier_flats]), initial=0.0))
         report.stage_preservation.append(drift)
         if drift > PRESERVATION_FACTOR * epsilon:
             raise InternalConsistencyError(
@@ -269,13 +251,18 @@ def reduce(state: PureState, strategy: str = "greedy",
         earlier_flats.extend(index_encode(t.index, n)
                              for t in stage_targets(n, l, k))
 
-    report.converged = failure is None
-    report.support_after = support_count(current, support_threshold)
-    report.norm_drift = float(abs(current.norm - 1.0))
-    trace = DecompositionTrace(state.norm, rotations, current)
-    if failure is not None:
-        failure.trace, failure.report = trace, report
-        raise failure
+    final = PureState(n, l, work)
+    report.converged = stage.converged
+    report.support_after = support_count(final, support_threshold)
+    report.norm_drift = float(abs(final.norm - 1.0))
+    trace = DecompositionTrace(state.norm, rotations, final)
+    if not stage.converged:
+        raise NonConvergenceError(
+            f"stage {stage.stage} ({strategy}) still at residual "
+            f"{stage.residual:.3e} after {max_iters_per_stage} eliminations "
+            f"(epsilon {epsilon:.1e})",
+            residual=stage.residual, trace=trace, report=report,
+        )
     return trace, report
 
 

@@ -134,13 +134,28 @@ class TestReduce:
         assert report["support_after"] == 1
 
     def test_nonconvergence_writes_partials_and_exits_2(self, tmp_path):
-        path = random_file(tmp_path / "s.json", 2, 3, 3)
-        code = main(["reduce", "--input", str(path), "--max-iters", "1"])
-        assert code == 2
-        report = json.loads((tmp_path / "s.report.json").read_text())
-        assert report["converged"] is False
-        assert (tmp_path / "s.reduced.json").exists()
-        assert (tmp_path / "s.trace.json").exists()
+        # The partial outputs are a certificate of the run so far, whether
+        # the first stage stops or a later one does. In the (3,2) state
+        # the stage-0 targets (flats 1, 2, 3, 6) are zero, so stage 0
+        # converges at once and stage 1 stops at the cap.
+        amps = np.zeros(9, dtype=complex)
+        amps[[0, 4, 5, 7, 8]] = [0.5, 0.5, 0.5, 0.3, np.sqrt(0.16)]
+        save_state(tmp_path / "late.json", PureState(3, 2, amps))
+        cases = [(random_file(tmp_path / "s.json", 2, 3, 3), [False]),
+                 (tmp_path / "late.json", [True, False])]
+        for path, stages in cases:
+            stem = path.name[:-5]
+            code = main(["reduce", "--input", str(path), "--max-iters", "1"])
+            assert code == 2
+            report = json.loads((tmp_path / f"{stem}.report.json").read_text())
+            assert report["converged"] is False
+            assert [st["converged"] for st in report["stages"]] == stages
+            assert (tmp_path / f"{stem}.reduced.json").exists()
+            assert (tmp_path / f"{stem}.trace.json").exists()
+            code = main(["verify", "--original", str(path),
+                         "--trace", str(tmp_path / f"{stem}.trace.json"),
+                         "--reduced", str(tmp_path / f"{stem}.reduced.json")])
+            assert code == 0
 
     def test_slightly_denormalized_input_is_flagged(self, tmp_path):
         path = random_file(tmp_path / "s.json", 2, 2, 8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -312,3 +313,8 @@ def test_file_digest_changes_with_content(tmp_path):
     d1, d2 = file_digest(p1), file_digest(p2)
     assert d1.startswith("sha256:") and d2.startswith("sha256:")
     assert d1 != d2
+    # A file of several read chunks hashes to the digest of all its bytes.
+    data = np.random.default_rng(0).bytes(5 << 19)  # 2.5 MiB
+    p3 = tmp_path / "c.json"
+    p3.write_bytes(data)
+    assert file_digest(p3) == "sha256:" + hashlib.sha256(data).hexdigest()

@@ -10,7 +10,6 @@ from quditreduce import (
     PureState,
     amplitude_at,
     apply_plane_rotation,
-    eliminate_stage,
     index_encode,
     invert_trace,
     product_state,
@@ -25,6 +24,7 @@ from quditreduce import (
 from quditreduce.reduction import (
     DecompositionTrace,
     LocalRotation,
+    eliminate_stage,
     invert_rotations,
 )
 
@@ -50,6 +50,14 @@ def w_state(l):
     for i in range(l):
         amps[2**i] = 1 / np.sqrt(l)
     return PureState(2, l, amps)
+
+
+def run_stage(state, k, *args, **kwargs):
+    """Stage k on a copy of ``state``: (stage output, rotations, report)."""
+    work, rotations = state.amplitudes.copy(), []
+    report = eliminate_stage(work, state.n, state.l, k, rotations, *args,
+                             **kwargs)
+    return PureState(state.n, state.l, work), rotations, report
 
 
 def random_product_factors(n, l, seed):
@@ -162,7 +170,7 @@ class TestSupportCount:
 
 class TestEliminateStage:
     def test_bell_already_converged(self):
-        out, rotations, report = eliminate_stage(bell(), 0)
+        out, rotations, report = run_stage(bell(), 0)
         assert rotations == []
         assert report.iterations == 0
         assert report.converged
@@ -170,7 +178,7 @@ class TestEliminateStage:
 
     def test_single_target_basis_state(self):
         s = PureState(2, 2, np.array([0, 1, 0, 0], dtype=complex))  # digits (1,0)
-        out, rotations, report = eliminate_stage(s, 0)
+        out, rotations, report = run_stage(s, 0)
         assert report.iterations == 1
         assert rotations[0].site == 0
         assert (rotations[0].level_a, rotations[0].level_b) == (0, 1)
@@ -178,7 +186,7 @@ class TestEliminateStage:
         assert support_count(out, 1e-12) == 1
 
     def test_w_state_greedy_converges_monotonically(self):
-        out, rotations, report = eliminate_stage(w_state(3), 0, "greedy", 1e-12)
+        out, rotations, report = run_stage(w_state(3), 0, "greedy", 1e-12)
         assert report.converged
         assert report.residual < 1e-12
         anchors = report.anchor_history
@@ -188,7 +196,7 @@ class TestEliminateStage:
     @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
     def test_histories_are_consistent(self, strategy):
         s = random_state(3, 2, seed=9)
-        out, rotations, report = eliminate_stage(s, 0, strategy)
+        out, rotations, report = run_stage(s, 0, strategy)
         assert len(rotations) == report.iterations
         assert len(report.pivot_history) == report.iterations
         assert len(report.anchor_history) == report.iterations + 1
@@ -225,7 +233,7 @@ class TestEliminateStage:
         eps = 1e-12
         state = random_state(n, l, seed=8)
         for k in range(n - 1):
-            out, rotations, report = eliminate_stage(state, k, "round-robin", eps)
+            out, rotations, report = run_stage(state, k, "round-robin", eps)
             anchor = index_encode([k] * l, n)
             targets = stage_targets(n, l, k)
             flats = [index_encode(t.index, n) for t in targets]
@@ -249,7 +257,7 @@ class TestEliminateStage:
 
     def test_anchor_is_real_nonnegative_after_elimination(self):
         s = random_state(3, 2, seed=2)
-        out, rotations, _ = eliminate_stage(s, 0)
+        out, rotations, _ = run_stage(s, 0)
         assert len(rotations) > 0
         anchor_amp = out.amplitudes[index_encode([0, 0], 3)]
         assert anchor_amp.real >= 0
@@ -257,27 +265,41 @@ class TestEliminateStage:
 
     def test_nonconvergence_carries_partials(self):
         s = random_state(2, 3, seed=0)
-        with pytest.raises(NonConvergenceError) as info:
-            eliminate_stage(s, 0, "greedy", 1e-12, max_iters=2)
-        err = info.value
-        assert err.residual >= 1e-12
-        assert len(err.trace.rotations) == 2
-        assert err.report.iterations == 2
-        assert not err.report.converged
+        out, rotations, report = run_stage(s, 0, "greedy", 1e-12, max_iters=2)
+        assert report.residual >= 1e-12
+        assert len(rotations) == 2
+        assert report.iterations == 2
+        assert not report.converged
         # The partial state is consistent with the recorded rotations.
-        back = invert_trace(err.trace)
+        back = invert_trace(DecompositionTrace(out.norm, rotations, out))
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
+
+    def test_mixes_caller_vector_and_appends_rotations(self):
+        # At the cap the stage returns instead of raising; it has mixed
+        # the caller's vector in place and appended its two rotations
+        # after the one already in the list.
+        s = random_state(2, 3, seed=0)
+        first = LocalRotation(stage=0, site=0, level_a=0, level_b=1,
+                              entries=np.eye(2, dtype=complex))
+        work, rotations = s.amplitudes.copy(), [first]
+        report = eliminate_stage(work, 2, 3, 0, rotations, "greedy", 1e-12,
+                                 max_iters=2)
+        assert not report.converged
+        assert len(rotations) == 3
+        assert rotations[0] is first
+        back = invert_rotations(work, 2, 3, rotations[1:])
+        assert np.max(np.abs(back - s.amplitudes)) < 1e-12
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
-            eliminate_stage(bell(), 0, "fastest")
+            run_stage(bell(), 0, "fastest")
 
     def test_rejects_nonpositive_epsilon(self):
         # NaN and infinity are rejected too: NaN would never compare
         # below the residual, and infinity would stop before any step.
         for eps in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="epsilon"):
-                eliminate_stage(bell(), 0, epsilon=eps)
+                run_stage(bell(), 0, epsilon=eps)
 
 
 class TestReduce:
@@ -373,11 +395,11 @@ class TestReduce:
     def test_revived_earlier_target_is_inconsistent(self, monkeypatch):
         eliminate = reduction.eliminate_stage
 
-        def reviving(state, k, *args):
-            out, rotations, report = eliminate(state, k, *args)
+        def reviving(work, n, l, k, *args):
+            report = eliminate(work, n, l, k, *args)
             if k == 1:
-                out.amplitudes[1] = 1e-6  # stage-0 target: digit 1 at site 0
-            return out, rotations, report
+                work[1] = 1e-6  # stage-0 target: digit 1 at site 0
+            return report
 
         monkeypatch.setattr(reduction, "eliminate_stage", reviving)
         with pytest.raises(InternalConsistencyError,
