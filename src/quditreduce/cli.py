@@ -10,7 +10,8 @@ or arguments or an unwritable output, 2 non-convergence or oracle
 failure, 3 verification, cross-check or internal consistency failure.
 Commands raise their failures; ``_run`` alone turns them into exit codes,
 for each command and for each file of ``reduce --batch``. ``reduce``
-exits 1 when an output path names its input or another output.
+exits 1, before reading its input, unless the input, the three outputs
+and their ``.part`` temps are seven distinct files.
 """
 
 from __future__ import annotations
@@ -102,6 +103,15 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
     ``_run`` maps it: 1 for an unreadable input or an unwritable output,
     3 for an internal consistency failure.
     """
+    # Each output is written to a sibling temp name that --batch never takes
+    # as an input, and all three move into place only after every write
+    # succeeded; a failure leaves none of them behind.
+    outputs = (output, trace_path, report_path)
+    temps = [p.with_name(p.name + ".part") for p in outputs]
+    paths = (input_path, *outputs, *temps)
+    if len({p.resolve() for p in paths}) < len(paths):
+        raise ValueError(f"{input_path}: the input, the three outputs and "
+                         f"their .part temps must be seven distinct files")
     started = time.perf_counter()
     state, renormalized, seed = load_state(input_path)
     digest = file_digest(input_path)
@@ -120,11 +130,6 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         raise InternalConsistencyError(f"{input_path}: {exc}") from exc
 
     duration = time.perf_counter() - started
-    # Each output is written to a sibling temp name that --batch never takes
-    # as an input, and all three move into place only after every write
-    # succeeded; a failure leaves none of them behind.
-    outputs = (output, trace_path, report_path)
-    temps = [p.with_name(p.name + ".part") for p in outputs]
     placed = []
     try:
         save_state(temps[0], trace.final_state)
@@ -173,12 +178,8 @@ def cmd_reduce(args) -> int:
     output = Path(args.output) if args.output else _derived(input_path, "reduced")
     trace_path = Path(args.trace) if args.trace else _derived(input_path, "trace")
     report_path = Path(args.report) if args.report else _derived(input_path, "report")
-    # A batch cannot collide this way: no input carries an output suffix.
-    paths = (input_path, output, trace_path, report_path)
-    if len({p.resolve() for p in paths}) < len(paths):
-        raise ValueError("--output, --trace and --report must each name a "
-                         "file other than the input and the other outputs")
-    return _run(_reduce_single, *paths, args)
+    return _run(_reduce_single, input_path, output, trace_path, report_path,
+                args)
 
 
 def cmd_verify(args) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, NonConvergenceError
-from .state import (MultiIndex, PureState, index_encode, rotate_pair_inplace,
+from .state import (PureState, check_shape, index_encode, rotate_pair_inplace,
                     site_view)
 
 STRATEGIES = ("greedy", "round-robin")
@@ -41,17 +41,6 @@ class LocalRotation:
     level_a: int
     level_b: int
     entries: np.ndarray
-
-
-@dataclass
-class StageTarget:
-    """A term eliminable in stage ``stage``: digit ``digit`` at ``site``,
-    digit ``stage`` at every other site."""
-
-    stage: int
-    site: int
-    digit: int
-    index: MultiIndex
 
 
 @dataclass
@@ -134,21 +123,18 @@ def support_count(state: PureState, threshold: float) -> int:
     return int(np.count_nonzero(np.abs(state.amplitudes) > threshold))
 
 
-def stage_targets(n: int, l: int, k: int) -> list[StageTarget]:
-    """All (n-1-k)*l targets of stage k, ordered by site then digit.
+def stage_targets(n: int, l: int, k: int) -> np.ndarray:
+    """Ascending flat indices of the (n-1-k)*l targets of stage k.
 
-    That ordering coincides with ascending flat index, which the greedy
-    tie-break relies on.
+    Target j has digit k+1 + j % (n-1-k) at site j // (n-1-k) and digit
+    k at every other site, so it sits (digit - k) * n**site above the
+    anchor |kk...k>. The greedy tie-break relies on the ascending order.
     """
+    check_shape(n, l)
     if not 0 <= k <= n - 2:
         raise ValueError(f"stage {k} outside [0, {n - 2}] for n={n}")
-    targets = []
-    for site in range(l):
-        for digit in range(k + 1, n):
-            index = tuple(digit if i == site else k for i in range(l))
-            targets.append(StageTarget(stage=k, site=site, digit=digit,
-                                       index=index))
-    return targets
+    anchor = index_encode((k,) * l, n)
+    return anchor + np.outer(n ** np.arange(l), np.arange(1, n - k)).ravel()
 
 
 def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
@@ -172,8 +158,7 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
-    targets = stage_targets(n, l, k)
-    flats = np.array([index_encode(t.index, n) for t in targets])
+    flats = stage_targets(n, l, k)
     anchor = index_encode((k,) * l, n)
 
     anchor_history = [float(abs(work[anchor]))]
@@ -192,13 +177,16 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
             live = np.flatnonzero(mags >= epsilon)
             j = int(live[np.searchsorted(live, cursor) % live.size])
             cursor = j + 1
-        target, flat = targets[j], int(flats[j])
+        # Python ints: save_trace's json.dumps rejects numpy integers.
+        site, digit = divmod(j, n - 1 - k)
+        digit += k + 1
+        flat = int(flats[j])
         rot = zeroing_rotation(work[anchor], work[flat])
         pivot_history.append(float(abs(work[flat])))
-        rotate_pair_inplace(work, n, l, target.site, k, target.digit, rot)
+        rotate_pair_inplace(work, n, l, site, k, digit, rot)
         anchor_history.append(float(abs(work[anchor])))
-        rotations.append(LocalRotation(stage=k, site=target.site, level_a=k,
-                                       level_b=target.digit, entries=rot))
+        rotations.append(LocalRotation(stage=k, site=site, level_a=k,
+                                       level_b=digit, entries=rot))
 
     return StageReport(
         stage=k, iterations=len(pivot_history), residual=residual,
@@ -219,10 +207,13 @@ def reduce(state: PureState, strategy: str = "greedy",
     10*epsilon there is an InternalConsistencyError. The run stops at the
     first stage that hits max_iters_per_stage and raises
     NonConvergenceError, whose ``trace`` and ``report`` hold every
-    rotation and stage so far.
+    rotation and stage so far. A support_threshold outside [0, inf) is a
+    ValueError.
     """
     if support_threshold is None:
         support_threshold = PRESERVATION_FACTOR * epsilon
+    elif not 0 <= support_threshold < math.inf:
+        raise ValueError("support_threshold must be non-negative and finite")
     n, l = state.n, state.l
     report = ReductionReport(
         n=n, l=l, strategy=strategy, epsilon=epsilon,
@@ -233,7 +224,7 @@ def reduce(state: PureState, strategy: str = "greedy",
     )
     work = state.amplitudes.copy()
     rotations: list[LocalRotation] = []
-    earlier_flats: list[int] = []
+    earlier_flats = np.zeros(0, dtype=int)
 
     for k in range(n - 1):
         stage = eliminate_stage(work, n, l, k, rotations, strategy, epsilon,
@@ -248,8 +239,7 @@ def reduce(state: PureState, strategy: str = "greedy",
                 f"stage {k} left an earlier-stage target at magnitude "
                 f"{drift:.3e} > {PRESERVATION_FACTOR * epsilon:.1e}"
             )
-        earlier_flats.extend(index_encode(t.index, n)
-                             for t in stage_targets(n, l, k))
+        earlier_flats = np.concatenate((earlier_flats, stage_targets(n, l, k)))
 
     final = PureState(n, l, work)
     report.converged = stage.converged

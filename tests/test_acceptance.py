@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from quditreduce import (
-    index_encode,
     invert_trace,
     product_state,
     random_state,
@@ -62,7 +61,7 @@ def earlier_stage_target_max(state):
     n, l = state.n, state.l
     worst = 0.0
     for k in range(n - 2):
-        flats = [index_encode(t.index, n) for t in stage_targets(n, l, k)]
+        flats = stage_targets(n, l, k)
         worst = max(worst, float(np.max(np.abs(state.amplitudes[flats]))))
     return worst
 

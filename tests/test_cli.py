@@ -292,6 +292,22 @@ class TestReduce:
         assert path.read_bytes() == original
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
+    @pytest.mark.parametrize("name, flags", [
+        # The reduced state's temp would overwrite the input.
+        ("s.part", ["--output", "s"]),
+        # The trace would be moved onto the reduced state's temp name.
+        ("s.json", ["--trace", "X", "--output", "X.part"]),
+    ])
+    def test_paths_colliding_with_temps_exit_1(self, tmp_path, name, flags):
+        path = random_file(tmp_path / name, 2, 2, 1)
+        original = path.read_bytes()
+        code = main(["reduce", "--input", str(path),
+                     *[f if f.startswith("--") else str(tmp_path / f)
+                       for f in flags]])
+        assert code == 1
+        assert path.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_batch_missing_directory(self, tmp_path):
         assert main(["reduce", "--batch", str(tmp_path / "none")]) == 1
 

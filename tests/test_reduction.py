@@ -10,6 +10,7 @@ from quditreduce import (
     PureState,
     amplitude_at,
     apply_plane_rotation,
+    index_decode,
     index_encode,
     invert_trace,
     product_state,
@@ -50,6 +51,13 @@ def w_state(l):
     for i in range(l):
         amps[2**i] = 1 / np.sqrt(l)
     return PureState(2, l, amps)
+
+
+def target_plane(flat, n, l, k):
+    """(site, digit) of a stage-k target, read off its decoded digits."""
+    digits = index_decode(flat, n, l)
+    site = next(i for i, d in enumerate(digits) if d != k)
+    return site, digits[site]
 
 
 def run_stage(state, k, *args, **kwargs):
@@ -97,17 +105,17 @@ class TestZeroingRotation:
 
 class TestStageTargets:
     def test_qubit_three_sites(self):
-        targets = stage_targets(2, 3, 0)
-        flats = [index_encode(t.index, 2) for t in targets]
-        assert flats == [1, 2, 4]
+        assert stage_targets(2, 3, 0).tolist() == [1, 2, 4]
 
     def test_three_level_pair_stage0(self):
         targets = stage_targets(3, 2, 0)
         assert len(targets) == 4
-        assert [t.index for t in targets] == [(1, 0), (2, 0), (0, 1), (0, 2)]
+        assert [index_decode(f, 3, 2) for f in targets] == \
+            [(1, 0), (2, 0), (0, 1), (0, 2)]
 
     def test_three_level_pair_stage1(self):
-        assert [t.index for t in stage_targets(3, 2, 1)] == [(2, 1), (1, 2)]
+        assert [index_decode(f, 3, 2) for f in stage_targets(3, 2, 1)] == \
+            [(2, 1), (1, 2)]
 
     @pytest.mark.parametrize("n, l", [(2, 4), (3, 3), (4, 2), (5, 3)])
     def test_counts_per_stage_and_total(self, n, l):
@@ -120,7 +128,7 @@ class TestStageTargets:
 
     def test_order_is_ascending_flat(self):
         for k in range(3):
-            flats = [index_encode(t.index, 4) for t in stage_targets(4, 3, k)]
+            flats = stage_targets(4, 3, k).tolist()
             assert flats == sorted(flats)
 
     def test_stage_out_of_range(self):
@@ -128,6 +136,31 @@ class TestStageTargets:
             stage_targets(3, 2, 2)
         with pytest.raises(ValueError):
             stage_targets(3, 2, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 5))
+    def test_matches_digit_definition(self, n, l):
+        # The reference comes from index_decode alone: a stage-k target
+        # has exactly one digit other than k, and that digit exceeds k.
+        decoded = [index_decode(f, n, l) for f in range(n**l)]
+        for k in range(n - 1):
+            reference = [f for f, digits in enumerate(decoded)
+                         if [d > k for d in digits if d != k] == [True]]
+            flats = stage_targets(n, l, k)
+            assert flats.tolist() == reference
+            for j, flat in enumerate(reference):
+                site, digit = target_plane(flat, n, l, k)
+                assert (site, digit) == (j // (n - 1 - k),
+                                         k + 1 + j % (n - 1 - k))
+                # A stage on the basis state at target j takes one step,
+                # in that target's plane, onto the anchor.
+                work, rotations = np.zeros(n**l, dtype=complex), []
+                work[flat] = 1.0
+                eliminate_stage(work, n, l, k, rotations, max_iters=1)
+                assert [(r.site, r.level_a, r.level_b) for r in rotations] == \
+                    [(site, k, digit)]
+                assert abs(work[index_encode((k,) * l, n)]) == \
+                    pytest.approx(1.0)
 
 
 class TestTermBound:
@@ -207,8 +240,7 @@ class TestEliminateStage:
         # the anchor.
         s = random_state(2, 3, seed=4)
         anchor = index_encode([0, 0, 0], 2)
-        targets = stage_targets(2, 3, 0)
-        flats = [index_encode(t.index, 2) for t in targets]
+        flats = stage_targets(2, 3, 0)
         for _ in range(400):
             mags = np.abs(s.amplitudes[flats])
             j = int(np.argmax(mags))
@@ -217,7 +249,8 @@ class TestEliminateStage:
             before_anchor = abs(s.amplitudes[anchor])
             before_target = abs(s.amplitudes[flats[j]])
             rot = zeroing_rotation(s.amplitudes[anchor], s.amplitudes[flats[j]])
-            s = apply_plane_rotation(s, targets[j].site, 0, targets[j].digit, rot)
+            site, digit = target_plane(flats[j], 2, 3, 0)
+            s = apply_plane_rotation(s, site, 0, digit, rot)
             after_anchor = abs(s.amplitudes[anchor])
             assert after_anchor**2 == pytest.approx(
                 before_anchor**2 + before_target**2, abs=1e-12)
@@ -235,18 +268,18 @@ class TestEliminateStage:
         for k in range(n - 1):
             out, rotations, report = run_stage(state, k, "round-robin", eps)
             anchor = index_encode([k] * l, n)
-            targets = stage_targets(n, l, k)
-            flats = [index_encode(t.index, n) for t in targets]
+            flats = stage_targets(n, l, k)
             ref, expected = state, []
             while np.max(np.abs(ref.amplitudes[flats])) >= eps:
                 assert len(expected) < 10000, "reference sweep did not converge"
-                for t, flat in zip(targets, flats):
+                for flat in flats:
                     if abs(ref.amplitudes[flat]) < eps:
                         continue
                     rot = zeroing_rotation(ref.amplitudes[anchor],
                                            ref.amplitudes[flat])
-                    ref = apply_plane_rotation(ref, t.site, k, t.digit, rot)
-                    expected.append((t.site, t.digit, rot))
+                    site, digit = target_plane(flat, n, l, k)
+                    ref = apply_plane_rotation(ref, site, k, digit, rot)
+                    expected.append((site, digit, rot))
             assert report.converged
             assert len(rotations) == len(expected)
             for got, (site, digit, rot) in zip(rotations, expected):
@@ -364,6 +397,11 @@ class TestReduce:
         assert report.support_before == support_count(s, 1e-11)
         assert report.bound == 3
         assert len(report.stages) == 2
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_support_threshold(self, threshold):
+        with pytest.raises(ValueError, match="support_threshold"):
+            reduce(random_state(3, 3, 1), support_threshold=threshold)
 
     def test_nonconvergence_carries_cumulative_partials(self):
         s = random_state(3, 2, seed=0)
