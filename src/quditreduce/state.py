@@ -207,7 +207,8 @@ def product_state(factors) -> PureState:
 
     The amplitude at digits (d_0, ..., d_{l-1}) is the product of
     factors[i][d_i]; each factor must have squared norm within 1e-10
-    of one.
+    of one. Raises CapacityError, before building anything, when n**l
+    exceeds DEFAULT_SIZE_CAP.
     """
     factors = [np.asarray(f, dtype=np.complex128) for f in factors]
     if not factors:
@@ -221,6 +222,7 @@ def product_state(factors) -> PureState:
                 f"factor {i} has shape {f.shape}, expected ({n},)"
             )
         check_normalized(f, f"factor {i}")
+    check_shape(n, len(factors))
     # kron puts its first argument's index in the most significant slot,
     # so fold over factors in reverse to keep site 0 least significant.
     amps = _fold(np.kron, reversed(factors))

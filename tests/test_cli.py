@@ -167,6 +167,12 @@ class TestReduce:
         report = json.loads((tmp_path / "s.report.json").read_text())
         assert report["input_renormalized"] is True
 
+    def test_eps_whose_threshold_overflows_exits_1(self, tmp_path, capsys):
+        path = random_file(tmp_path / "s.json", 3, 3, 1)
+        assert main(["reduce", "--input", str(path), "--eps", "1e308"]) == 1
+        assert "support_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "s.report.json").exists()
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["reduce", "--input", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err

@@ -25,7 +25,9 @@ from quditreduce import (
 from quditreduce.reduction import (
     DecompositionTrace,
     LocalRotation,
+    apply_site_unitaries,
     eliminate_stage,
+    fold_rotations,
     invert_rotations,
 )
 
@@ -403,6 +405,12 @@ class TestReduce:
         with pytest.raises(ValueError, match="support_threshold"):
             reduce(random_state(3, 3, 1), support_threshold=threshold)
 
+    def test_rejects_epsilon_whose_threshold_overflows(self):
+        # 10 * 1e308 is inf: every amplitude would fall below it, and the
+        # run would certify support 0.
+        with pytest.raises(ValueError, match="support_threshold .* got inf"):
+            reduce(random_state(3, 3, 1), epsilon=1e308)
+
     def test_nonconvergence_carries_cumulative_partials(self):
         s = random_state(3, 2, seed=0)
         with pytest.raises(NonConvergenceError) as info:
@@ -442,6 +450,84 @@ class TestReduce:
         monkeypatch.setattr(reduction, "eliminate_stage", reviving)
         with pytest.raises(InternalConsistencyError,
                            match=r"stage 1 .* magnitude 1\.000e-06"):
+            reduce(random_state(3, 2, seed=1))
+
+
+def reduce_outcome(state, **kwargs):
+    """(trace, report, error text) of reduce, NonConvergenceError included."""
+    try:
+        return (*reduce(state, **kwargs), None)
+    except NonConvergenceError as err:
+        return err.trace, err.report, str(err)
+
+
+class TestBoxedStages:
+    @pytest.mark.parametrize("n, l", [(n, l) for n in range(2, 6)
+                                      for l in range(1, 5)])
+    @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
+    @pytest.mark.parametrize("cap", [3, 10000])
+    @pytest.mark.parametrize("clear_stage0", [False, True])
+    def test_box_path_records_the_same_reduction(self, monkeypatch, n, l,
+                                                 strategy, cap, clear_stage0):
+        # With no weight on the stage-0 targets, stage 0 takes no step and
+        # a cap of 3 stops a later stage, which runs on the box.
+        amps = random_state(n, l, seed=n * 10 + l).amplitudes
+        if clear_stage0:
+            amps[stage_targets(n, l, 0)] = 0
+        state = PureState(n, l, amps / np.linalg.norm(amps))
+        outcomes = []
+        for box_min_row in (0, 2**62):
+            monkeypatch.setattr(reduction, "BOX_MIN_ROW", box_min_row)
+            outcomes.append(reduce_outcome(state, strategy=strategy,
+                                           max_iters_per_stage=cap))
+        (boxed, boxed_report, boxed_error), (flat, flat_report, flat_error) = \
+            outcomes
+        assert boxed_error == flat_error
+        assert [(r.stage, r.site, r.level_a, r.level_b, r.entries.tobytes())
+                for r in boxed.rotations] == \
+            [(r.stage, r.site, r.level_a, r.level_b, r.entries.tobytes())
+             for r in flat.rotations]
+        assert boxed_report.stages == flat_report.stages
+        assert (boxed_report.support_before, boxed_report.support_after) == \
+            (flat_report.support_before, flat_report.support_after)
+        np.testing.assert_allclose(boxed_report.stage_preservation,
+                                   flat_report.stage_preservation, atol=1e-14)
+        assert np.max(np.abs(boxed.final_state.amplitudes
+                             - flat.final_state.amplitudes)) <= 1e-14
+        back = invert_trace(boxed).amplitudes
+        assert np.max(np.abs(back - state.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("extra, sizes", [(0, [64, 27, 8]),
+                                              (1, [64, 64, 64])])
+    def test_row_length_selects_the_box(self, monkeypatch, extra, sizes):
+        # Kernel rows of (4,3) hold 16 amplitudes: at a threshold of 16
+        # stage k runs on the (4-k)**3 box, above it on the whole vector.
+        eliminate, seen = reduction.eliminate_stage, []
+
+        def recording(work, *args):
+            seen.append(work.size)
+            return eliminate(work, *args)
+
+        monkeypatch.setattr(reduction, "BOX_MIN_ROW", 16 + extra)
+        monkeypatch.setattr(reduction, "eliminate_stage", recording)
+        reduce(random_state(4, 3, seed=5))
+        assert seen == sizes
+
+    def test_revived_earlier_target_is_inconsistent(self, monkeypatch):
+        fold = reduction.fold_rotations
+
+        def reviving(rotations, n, inverse):
+            # Swap levels 0 and 1 of site 0: the anchor's weight lands on
+            # the stage-0 target with digit 1 at site 0.
+            unitaries = fold(rotations, n, inverse)
+            rows = unitaries.setdefault(0, np.eye(n).tolist())
+            rows[0], rows[1] = rows[1], rows[0]
+            return unitaries
+
+        monkeypatch.setattr(reduction, "BOX_MIN_ROW", 0)
+        monkeypatch.setattr(reduction, "fold_rotations", reviving)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"stage 1 left an earlier-stage target"):
             reduce(random_state(3, 2, seed=1))
 
 
@@ -515,6 +601,15 @@ class TestInvertRotations:
         assert np.array_equal(state.amplitudes, before)
         assert out is not state.amplitudes
         assert np.max(np.abs(out - replay_inverse(state, rotations))) <= 1e-12
+        # The forward fold, as reduce applies it to later stages.
+        forward = state
+        for rot in rotations:
+            forward = apply_plane_rotation(forward, rot.site, rot.level_a,
+                                           rot.level_b, rot.entries)
+        folded = apply_site_unitaries(state.amplitudes.copy(), n, l,
+                                      fold_rotations(rotations, n,
+                                                     inverse=False))
+        assert np.max(np.abs(folded - forward.amplitudes)) <= 1e-12
 
 
 class TestTelescopedMassTransfer:

@@ -15,6 +15,7 @@ from quditreduce import (
     product_state,
     random_state,
 )
+from quditreduce import state as state_module
 from quditreduce.state import (DEFAULT_SIZE_CAP, check_plane, check_shape,
                                check_unitary)
 
@@ -318,6 +319,16 @@ class TestProductState:
     def test_rejects_nan_factor(self):
         with pytest.raises(ValueError, match="factor 1 not normalized"):
             product_state([[1, 0], [np.nan, 0]])
+
+    def test_checks_cap_before_building(self, monkeypatch):
+        # 27 qubit factors would make a 2 GiB vector; the cap must reject
+        # them before the Kronecker fold runs.
+        def no_fold(*args):
+            raise AssertionError("product_state built the vector")
+
+        monkeypatch.setattr(state_module, "_fold", no_fold)
+        with pytest.raises(CapacityError):
+            product_state([[1, 0]] * 27)
 
 
 class TestCheckUnitary:
