@@ -9,9 +9,12 @@ Exit codes are a stable scripting contract: 0 success, 1 invalid input
 or arguments or an unwritable output, 2 non-convergence or oracle
 failure, 3 verification, cross-check or internal consistency failure.
 Commands raise their failures; ``_run`` alone turns them into exit codes,
-for each command and for each file of ``reduce --batch``. ``reduce``
-exits 1, before reading its input, unless the input, the three outputs
-and their ``.part`` temps are seven distinct files.
+for each command and for each file of ``reduce --batch``. ``random``
+and ``reduce`` write each output to its ``.part`` temp first and move it
+into place only when every write succeeded, so a failed write leaves
+what was there before. ``reduce`` exits 1, before reading its input,
+unless the input, the three outputs and their ``.part`` temps are seven
+distinct files.
 """
 
 from __future__ import annotations
@@ -87,9 +90,35 @@ def _derived(path: Path, kind: str) -> Path:
     return path.with_name(f"{stem}.{kind}.json")
 
 
+def _part(path: Path) -> Path:
+    """The sibling temp an output is written to before it moves into place."""
+    return path.with_name(path.name + ".part")
+
+
+def _write_outputs(writes) -> None:
+    """For each ``(path, write)``, call ``write(temp)`` on the path's
+    ``.part`` temp, then move every temp into place. After an OSError,
+    remove the temps and the outputs moved so far and re-raise, so a
+    failure leaves none of the outputs behind."""
+    temps = [_part(path) for path, _ in writes]
+    placed = []
+    try:
+        for temp, (_, write) in zip(temps, writes):
+            write(temp)
+        for temp, (path, _) in zip(temps, writes):
+            temp.replace(path)
+            placed.append(path)
+    except OSError:
+        for path in temps + placed:
+            if path.is_file():
+                path.unlink()
+        raise
+
+
 def cmd_random(args) -> int:
     state = random_state(args.n, args.l, args.seed)
-    save_state(args.output, state, seed=args.seed)
+    _write_outputs([(Path(args.output),
+                     lambda temp: save_state(temp, state, seed=args.seed))])
     print(f"wrote {args.output}: n={args.n} l={args.l} seed={args.seed}")
     return EXIT_OK
 
@@ -103,12 +132,9 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
     ``_run`` maps it: 1 for an unreadable input or an unwritable output,
     3 for an internal consistency failure.
     """
-    # Each output is written to a sibling temp name that --batch never takes
-    # as an input, and all three move into place only after every write
-    # succeeded; a failure leaves none of them behind.
+    # The .part temps are names --batch never takes as an input.
     outputs = (output, trace_path, report_path)
-    temps = [p.with_name(p.name + ".part") for p in outputs]
-    paths = (input_path, *outputs, *temps)
+    paths = (input_path, *outputs, *map(_part, outputs))
     if len({p.resolve() for p in paths}) < len(paths):
         raise ValueError(f"{input_path}: the input, the three outputs and "
                          f"their .part temps must be seven distinct files")
@@ -130,20 +156,16 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
         raise InternalConsistencyError(f"{input_path}: {exc}") from exc
 
     duration = time.perf_counter() - started
-    placed = []
+    doc = report_to_dict(
+        report, tool_version=__version__, input_digest=digest, seed=seed,
+        duration_seconds=duration, input_renormalized=renormalized)
     try:
-        save_state(temps[0], trace.final_state)
-        save_trace(temps[1], trace)
-        save_report(temps[2], report_to_dict(
-            report, tool_version=__version__, input_digest=digest, seed=seed,
-            duration_seconds=duration, input_renormalized=renormalized))
-        for temp, path in zip(temps, outputs):
-            temp.replace(path)
-            placed.append(path)
+        _write_outputs([
+            (output, lambda temp: save_state(temp, trace.final_state)),
+            (trace_path, lambda temp: save_trace(temp, trace)),
+            (report_path, lambda temp: save_report(temp, doc)),
+        ])
     except OSError as exc:
-        for path in temps + placed:
-            if path.is_file():
-                path.unlink()
         raise OSError(f"{input_path}: cannot write outputs: {exc}") from exc
     print(f"{input_path}: converged={report.converged} "
           f"support {report.support_before} -> {report.support_after} "

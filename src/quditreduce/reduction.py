@@ -13,7 +13,8 @@ The anchor and targets of stage k, and every amplitude its rotations
 mix with them, lie in the box of terms whose digits are all >= k: an
 (n-k)-level state on which stage k is stage 0. When kernel rows are
 long, stages k >= 1 run on that box alone, and their rotations reach the
-rest of the vector through one per-site fold at the end.
+rest of the vector through one per-site fold at the end. Inversion
+applies the conjugate transpose of the same fold.
 """
 
 from __future__ import annotations
@@ -161,30 +162,42 @@ def stage_targets(n: int, l: int, k: int) -> np.ndarray:
 def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
                     rotations: list[LocalRotation], strategy: str = "greedy",
                     epsilon: float = DEFAULT_EPSILON,
-                    max_iters: int = DEFAULT_MAX_ITERS,
-                    offset: int = 0) -> StageReport:
-    """Drive every stage-k target of the flat vector ``work`` below epsilon.
+                    max_iters: int = DEFAULT_MAX_ITERS) -> StageReport:
+    """Drive every stage-k target of an n-level, l-site state below epsilon.
 
-    ``work`` holds n**l amplitudes: a whole n-level state when offset is
-    0, else the box of digits >= offset of an (n+offset)-level state,
-    whose digit d stands for level d + offset. Each step zeroes one
-    target at or above epsilon against the anchor: greedy picks the
-    largest (smallest flat index on ties), round-robin the next one after
-    its previous pick, cycling in flat order. A step never shrinks the
+    ``work`` is the flat state, n**l amplitudes, or its box of digits
+    >= k, (n-k)**l amplitudes, told apart by size; any other size is a
+    ValueError. On the box, stage k is stage 0 of an (n-k)-level state
+    whose digit d stands for level d + k. Each step zeroes one target at
+    or above epsilon against the anchor: greedy picks the largest
+    (smallest flat index on ties), round-robin the next one after its
+    previous pick, cycling in flat order. A step never shrinks the
     anchor, so the eliminated magnitudes are square-summable and the loop
-    terminates for any epsilon > 0 in exact arithmetic; max_iters is the
-    practical stop.
+    terminates for any epsilon > 0 in exact arithmetic; max_iters, an
+    int >= 1, is the practical stop.
 
     Mixes ``work`` in place, appends each rotation to ``rotations`` and
     returns the StageReport, whose ``converged`` is False when max_iters
     was exhausted first. The rotations' stage and levels, and the
-    report's stage, are those of the whole state: offset is added to each.
+    report's stage, are those of the whole state on either vector.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
+    # type(), not isinstance(): a bool is not an iteration cap.
+    if type(max_iters) is not int or max_iters < 1:
+        raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
     flats = stage_targets(n, l, k)
+    offset = 0
+    if work.size != n**l:
+        if work.size != (n - k)**l:
+            raise ValueError(
+                f"stage {k} of an n={n}, l={l} state works on {n**l} or "
+                f"{(n - k)**l} amplitudes, got {work.size}")
+        # The box: stage 0 of an (n-k)-level state, levels shifted by k.
+        offset, n, k = k, n - k, 0
+        flats = stage_targets(n, l, k)
     anchor = index_encode((k,) * l, n)
 
     anchor_history = [float(abs(work[anchor]))]
@@ -232,8 +245,9 @@ def reduce(state: PureState, strategy: str = "greedy",
     stages do too, unless kernel rows hold at least BOX_MIN_ROW
     amplitudes: then stage k runs on the box of digits >= k, cut from
     stage k-1's box, and the rotations of stages >= 1 are folded into one
-    unitary per site and applied to the stage-0 vector once. Both ways
-    record the same rotations.
+    unitary per site and applied to the stage-0 vector once. Each stage
+    is one eliminate_stage(box, n, l, k) call, whichever vector ``box``
+    is, and both ways record the same rotations.
 
     Returns (DecompositionTrace, ReductionReport). On the final state, the
     targets of all stages before each completed stage are checked; a
@@ -241,7 +255,8 @@ def reduce(state: PureState, strategy: str = "greedy",
     run stops at the first stage that hits max_iters_per_stage and raises
     NonConvergenceError, whose ``trace`` and ``report`` hold every
     rotation and stage so far. A support_threshold outside [0, inf),
-    given or derived as 10*epsilon, is a ValueError.
+    given or derived as 10*epsilon, is a ValueError, and so is a
+    max_iters_per_stage that is not an int >= 1.
     """
     if support_threshold is None:
         support_threshold = PRESERVATION_FACTOR * epsilon
@@ -264,20 +279,17 @@ def reduce(state: PureState, strategy: str = "greedy",
 
     box = work
     for k in range(n - 1):
-        offset = k if boxed else 0
-        if offset:
+        if boxed and k:
             # A contiguous copy of the digits >= 1 of stage k-1's box.
             box = box.reshape((n - k + 1,) * l)[(slice(1, None),) * l].flatten()
-        stage = eliminate_stage(box, n - offset, l, k - offset, rotations,
-                                strategy, epsilon, max_iters_per_stage,
-                                offset)
+        stage = eliminate_stage(box, n, l, k, rotations, strategy, epsilon,
+                                max_iters_per_stage)
         report.stages.append(stage)
         if not stage.converged:
             break
     if boxed:
         later = rotations[report.stages[0].iterations:]
-        work = apply_site_unitaries(work, n, l,
-                                    fold_rotations(later, n, inverse=False))
+        work = apply_site_unitaries(work, n, l, fold_rotations(later, n))
 
     earlier_flats = np.zeros(0, dtype=int)
     for done in report.stages:
@@ -314,24 +326,20 @@ def stacked_entries(rotations) -> np.ndarray:
                     dtype=np.complex128).reshape(-1, 2, 2)
 
 
-def fold_rotations(rotations, n: int,
-                   inverse: bool) -> dict[int, list[list[complex]]]:
+def fold_rotations(rotations, n: int) -> dict[int, list[list[complex]]]:
     """Fold a rotation sequence into one n x n unitary per touched site.
 
     Every rotation acts on one site, so the whole sequence is a tensor
-    product of per-site unitaries: the product of the rotations in order,
-    or with ``inverse`` of their conjugate transposes in reverse order.
-    Each rotation costs O(n), as a 2x2 mix of two rows of its site's
-    unitary. Returns {site: rows} with rows as lists of Python complex.
+    product of per-site unitaries U = R_T ... R_1, the product of that
+    site's rotations in order. Each rotation costs O(n), as a 2x2 mix of
+    two rows of its site's unitary. Returns {site: rows} with rows as
+    lists of Python complex.
     """
     # Python complex throughout: per-rotation numpy calls on n-vectors
     # cost more than the arithmetic.
     unitaries: dict[int, list[list[complex]]] = {}
-    for rot in (reversed(list(rotations)) if inverse else rotations):
+    for rot in rotations:
         (m00, m01), (m10, m11) = rot.entries.tolist()
-        if inverse:
-            m00, m01, m10, m11 = (m00.conjugate(), m10.conjugate(),
-                                  m01.conjugate(), m11.conjugate())
         rows = unitaries.get(rot.site)
         if rows is None:
             rows = unitaries[rot.site] = np.eye(n, dtype=np.complex128).tolist()
@@ -343,10 +351,10 @@ def fold_rotations(rotations, n: int,
 
 def apply_site_unitaries(amplitudes: np.ndarray, n: int, l: int,
                          unitaries) -> np.ndarray:
-    """Apply each site's unitary from fold_rotations through ``site_view``,
-    touching the amplitudes once per site. Alternates between
-    ``amplitudes`` and one spare vector, so it overwrites ``amplitudes``
-    and may return it."""
+    """Apply each site's n x n matrix in ``unitaries`` ({site: rows} from
+    fold_rotations, or {site: array}) through ``site_view``, touching the
+    amplitudes once per site. Alternates between ``amplitudes`` and one
+    spare vector, so it overwrites ``amplitudes`` and may return it."""
     work, spare = amplitudes, None
     for site, rows in unitaries.items():
         if spare is None:
@@ -359,11 +367,16 @@ def apply_site_unitaries(amplitudes: np.ndarray, n: int, l: int,
 
 def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
                      rotations) -> np.ndarray:
-    """Apply the conjugate-transpose rotations in reverse order to a raw
-    amplitude vector; returns a new vector."""
+    """Undo ``rotations`` on a raw amplitude vector; returns a new vector.
+
+    Each site's folded unitary U = R_T ... R_1 is undone by its conjugate
+    transpose U^dagger = R_1^dagger ... R_T^dagger, which is the conjugate
+    transposes of the rotations, last one first, as one matrix.
+    """
     work = np.array(amplitudes, dtype=np.complex128)
-    return apply_site_unitaries(work, n, l,
-                                fold_rotations(rotations, n, inverse=True))
+    adjoints = {site: np.array(rows).conj().T
+                for site, rows in fold_rotations(rotations, n).items()}
+    return apply_site_unitaries(work, n, l, adjoints)
 
 
 def invert_trace(trace: DecompositionTrace) -> PureState:

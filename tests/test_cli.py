@@ -1,3 +1,4 @@
+import errno
 import json
 
 import numpy as np
@@ -60,6 +61,24 @@ class TestRandom:
                      "--output", str(tmp_path / "missing" / "s.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_failed_write_keeps_existing_output(self, tmp_path, monkeypatch):
+        # A write that stops part way (a full disk) leaves the state that
+        # was there before and no temp file.
+        path = random_file(tmp_path / "s.json", 2, 2, 1)
+        original = path.read_bytes()
+
+        def full_disk(target, *args, **kwargs):
+            with open(target, "w") as f:
+                f.write('{"format": "qudit-st')
+            raise OSError(errno.ENOSPC, "No space left on device", str(target))
+
+        monkeypatch.setattr(cli, "save_state", full_disk)
+        code = main(["random", "--n", "3", "--l", "2", "--seed", "5",
+                     "--output", str(path)])
+        assert code == 1
+        assert path.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_bad_arguments_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -70,6 +70,12 @@ def run_stage(state, k, *args, **kwargs):
     return PureState(state.n, state.l, work), rotations, report
 
 
+def rotation_fields(rotations):
+    """Every recorded field of each rotation, entries as raw bytes."""
+    return [(r.stage, r.site, r.level_a, r.level_b, r.entries.tobytes())
+            for r in rotations]
+
+
 def random_product_factors(n, l, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((l, n)) + 1j * rng.standard_normal((l, n))
@@ -336,6 +342,39 @@ class TestEliminateStage:
             with pytest.raises(ValueError, match="epsilon"):
                 run_stage(bell(), 0, epsilon=eps)
 
+    @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
+    def test_stage_k_box_matches_whole_state(self, strategy):
+        # Stage k of the whole state and of its box of digits >= k make
+        # the same steps, bit for bit, and mix the box region alike.
+        for n in range(3, 6):
+            for l in range(1, 5):
+                amps = random_state(n, l, seed=n * 10 + l).amplitudes
+                for k in range(1, n - 1):
+                    box_region = (slice(k, None),) * l
+                    whole, whole_rotations = amps.copy(), []
+                    whole_report = eliminate_stage(whole, n, l, k,
+                                                   whole_rotations, strategy)
+                    box = amps.reshape((n,) * l)[box_region].flatten()
+                    box_rotations = []
+                    box_report = eliminate_stage(box, n, l, k, box_rotations,
+                                                 strategy)
+                    assert whole_rotations
+                    assert rotation_fields(box_rotations) == \
+                        rotation_fields(whole_rotations)
+                    assert box_report == whole_report
+                    assert np.array_equal(
+                        whole.reshape((n,) * l)[box_region].ravel(), box)
+
+    @pytest.mark.parametrize("size", [4, 10, 25])
+    def test_rejects_work_of_another_size(self, size):
+        # Stage 1 of a (4,2) state takes its 16 amplitudes or its box of
+        # 9; the stage-2 box (4), and any other size, is refused.
+        work = random_state(size, 1, seed=2).amplitudes
+        rotations = []
+        with pytest.raises(ValueError, match=f"got {size}"):
+            eliminate_stage(work, 4, 2, 1, rotations)
+        assert rotations == []
+
 
 class TestReduce:
     @pytest.mark.parametrize("l", [2, 3, 5])
@@ -404,6 +443,18 @@ class TestReduce:
     def test_rejects_bad_support_threshold(self, threshold):
         with pytest.raises(ValueError, match="support_threshold"):
             reduce(random_state(3, 3, 1), support_threshold=threshold)
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, None])
+    def test_rejects_bad_max_iters_per_stage(self, cap):
+        # Checked before any rotation: the work vector stays as it was.
+        state = random_state(3, 3, 1)
+        with pytest.raises(ValueError, match="max_iters"):
+            reduce(state, max_iters_per_stage=cap)
+        work, rotations = state.amplitudes.copy(), []
+        with pytest.raises(ValueError, match="max_iters"):
+            eliminate_stage(work, 3, 3, 0, rotations, max_iters=cap)
+        assert rotations == []
+        assert np.array_equal(work, state.amplitudes)
 
     def test_rejects_epsilon_whose_threshold_overflows(self):
         # 10 * 1e308 is inf: every amplitude would fall below it, and the
@@ -516,10 +567,10 @@ class TestBoxedStages:
     def test_revived_earlier_target_is_inconsistent(self, monkeypatch):
         fold = reduction.fold_rotations
 
-        def reviving(rotations, n, inverse):
+        def reviving(rotations, n):
             # Swap levels 0 and 1 of site 0: the anchor's weight lands on
             # the stage-0 target with digit 1 at site 0.
-            unitaries = fold(rotations, n, inverse)
+            unitaries = fold(rotations, n)
             rows = unitaries.setdefault(0, np.eye(n).tolist())
             rows[0], rows[1] = rows[1], rows[0]
             return unitaries
@@ -607,8 +658,7 @@ class TestInvertRotations:
             forward = apply_plane_rotation(forward, rot.site, rot.level_a,
                                            rot.level_b, rot.entries)
         folded = apply_site_unitaries(state.amplitudes.copy(), n, l,
-                                      fold_rotations(rotations, n,
-                                                     inverse=False))
+                                      fold_rotations(rotations, n))
         assert np.max(np.abs(folded - forward.amplitudes)) <= 1e-12
 
 
