@@ -9,12 +9,13 @@ Exit codes are a stable scripting contract: 0 success, 1 invalid input
 or arguments or an unwritable output, 2 non-convergence or oracle
 failure, 3 verification, cross-check or internal consistency failure.
 Commands raise their failures; ``_run`` alone turns them into exit codes,
-for each command and for each file of ``reduce --batch``. ``random``
-and ``reduce`` write each output to its ``.part`` temp first and move it
-into place only when every write succeeded, so a failed write leaves
-what was there before. ``reduce`` exits 1, before reading its input,
-unless the input, the three outputs and their ``.part`` temps are seven
-distinct files.
+for each command and for each file of ``reduce``, which takes the same
+path for a file of ``--batch`` as for ``--input``. ``random`` and
+``reduce`` refuse a destination that is a directory, then write each
+output to its ``.part`` temp and move them into place only when every
+write succeeded, so a failure leaves what was there before. ``reduce``
+exits 1, before reading its input, unless the input, the three outputs
+and their ``.part`` temps are seven distinct files.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ VERIFY_TOL = 1e-9
 #: Oracle-vs-reduction coefficient difference below which ``schmidt`` passes.
 SCHMIDT_TOL = 1e-8
 
-_OUTPUT_SUFFIXES = (".reduced.json", ".trace.json", ".report.json")
+#: The outputs of ``reduce`` in write order: flag -> kind, where the kind
+#: names the default ``<input>.<kind>.json`` and the files --batch skips.
+_OUTPUTS = {"output": "reduced", "trace": "trace", "report": "report"}
 
 
 def _fail(message) -> None:
@@ -85,11 +88,6 @@ def _run(command, *args) -> int:
     return code
 
 
-def _derived(path: Path, kind: str) -> Path:
-    stem = path.name[:-5] if path.name.endswith(".json") else path.name
-    return path.with_name(f"{stem}.{kind}.json")
-
-
 def _part(path: Path) -> Path:
     """The sibling temp an output is written to before it moves into place."""
     return path.with_name(path.name + ".part")
@@ -97,9 +95,13 @@ def _part(path: Path) -> Path:
 
 def _write_outputs(writes) -> None:
     """For each ``(path, write)``, call ``write(temp)`` on the path's
-    ``.part`` temp, then move every temp into place. After an OSError,
-    remove the temps and the outputs moved so far and re-raise, so a
-    failure leaves none of the outputs behind."""
+    ``.part`` temp, then move every temp into place. A destination that
+    is a directory is refused first, leaving every output as it was.
+    After an OSError, remove the temps and the outputs moved so far and
+    re-raise, so a failure leaves none of the new outputs behind."""
+    for path, _ in writes:
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
     temps = [_part(path) for path, _ in writes]
     placed = []
     try:
@@ -123,17 +125,20 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _reduce_single(input_path: Path, output: Path, trace_path: Path,
-                   report_path: Path, args) -> int:
-    """Reduce one state file and write its three outputs.
+def _reduce_single(input_path: Path, args) -> int:
+    """Reduce one state file and write its three outputs, each at its
+    flag's path or else at ``<input>.<kind>.json``.
 
     Returns 0 on success and 2 for non-convergence, whose outputs are
     still written. Every other failure raises, leaving no outputs, and
     ``_run`` maps it: 1 for an unreadable input or an unwritable output,
     3 for an internal consistency failure.
     """
+    stem = input_path.name.removesuffix(".json")
+    outputs = [Path(getattr(args, flag)
+                    or input_path.with_name(f"{stem}.{kind}.json"))
+               for flag, kind in _OUTPUTS.items()]
     # The .part temps are names --batch never takes as an input.
-    outputs = (output, trace_path, report_path)
     paths = (input_path, *outputs, *map(_part, outputs))
     if len({p.resolve() for p in paths}) < len(paths):
         raise ValueError(f"{input_path}: the input, the three outputs and "
@@ -159,12 +164,11 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
     doc = report_to_dict(
         report, tool_version=__version__, input_digest=digest, seed=seed,
         duration_seconds=duration, input_renormalized=renormalized)
+    writes = (lambda temp: save_state(temp, trace.final_state),
+              lambda temp: save_trace(temp, trace),
+              lambda temp: save_report(temp, doc))
     try:
-        _write_outputs([
-            (output, lambda temp: save_state(temp, trace.final_state)),
-            (trace_path, lambda temp: save_trace(temp, trace)),
-            (report_path, lambda temp: save_report(temp, doc)),
-        ])
+        _write_outputs(list(zip(outputs, writes)))
     except OSError as exc:
         raise OSError(f"{input_path}: cannot write outputs: {exc}") from exc
     print(f"{input_path}: converged={report.converged} "
@@ -175,33 +179,24 @@ def _reduce_single(input_path: Path, output: Path, trace_path: Path,
 
 def cmd_reduce(args) -> int:
     if args.batch:
-        given = [f"--{name}" for name in ("input", "output", "trace", "report")
-                 if getattr(args, name)]
+        given = [f"--{flag}" for flag in ("input", *_OUTPUTS)
+                 if getattr(args, flag)]
         if given:
             raise ValueError(f"--batch cannot be combined with {', '.join(given)}")
         directory = Path(args.batch)
         if not directory.is_dir():
             raise ValueError(f"{directory} is not a directory")
-        inputs = sorted(
-            p for p in directory.glob("*.json")
-            if not p.name.endswith(_OUTPUT_SUFFIXES)
-        )
+        suffixes = tuple(f".{kind}.json" for kind in _OUTPUTS.values())
+        inputs = sorted(p for p in directory.glob("*.json")
+                        if not p.name.endswith(suffixes))
         if not inputs:
             raise ValueError(f"no state files found in {directory}")
-        # Runs are independent; processed sequentially here.
-        return max(
-            _run(_reduce_single, p, _derived(p, "reduced"), _derived(p, "trace"),
-                 _derived(p, "report"), args)
-            for p in inputs
-        )
-    if not args.input:
+    elif args.input:
+        inputs = [Path(args.input)]
+    else:
         raise ValueError("reduce needs --input or --batch")
-    input_path = Path(args.input)
-    output = Path(args.output) if args.output else _derived(input_path, "reduced")
-    trace_path = Path(args.trace) if args.trace else _derived(input_path, "trace")
-    report_path = Path(args.report) if args.report else _derived(input_path, "report")
-    return _run(_reduce_single, input_path, output, trace_path, report_path,
-                args)
+    # Runs are independent; processed sequentially here.
+    return max(_run(_reduce_single, path, args) for path in inputs)
 
 
 def cmd_verify(args) -> int:

@@ -128,7 +128,7 @@ def load_state(path):
              f"than {MAX_NORM_DEVIATION}")
     renormalized = abs(norm_sq - 1.0) > NORM_ATOL
     if renormalized:
-        amps = amps / norm_sq**0.5
+        amps /= norm_sq**0.5  # fresh from read_state_file, so no copy
     return PureState(n, l, amps), renormalized, seed
 
 

@@ -236,6 +236,51 @@ class TestReduce:
         for kind in ("reduced", "trace", "report"):
             assert (tmp_path / f"b.{kind}.json").is_file()
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_rerun_onto_directory_keeps_previous_outputs(self, tmp_path, capsys,
+                                                         batch):
+        # A destination that has become a directory fails its input before
+        # anything is written, so the first run's outputs stay as they were.
+        path = random_file(tmp_path / "a.json", 2, 2, 1)
+        if batch:
+            random_file(tmp_path / "b.json", 3, 2, 2)
+        args = ["--batch", str(tmp_path)] if batch else ["--input", str(path)]
+        assert main(["reduce", *args]) == 0
+        first = {kind: (tmp_path / f"a.{kind}.json").read_bytes()
+                 for kind in ("reduced", "report")}
+        (tmp_path / "a.trace.json").unlink()
+        (tmp_path / "a.trace.json").mkdir()
+        capsys.readouterr()
+        assert main(["reduce", *args]) == 1
+        assert capsys.readouterr().err.count("a.json") == 1
+        for kind, data in first.items():
+            assert (tmp_path / f"a.{kind}.json").read_bytes() == data
+        assert not list(tmp_path.glob("*.part"))
+        if batch:
+            for kind in ("reduced", "trace", "report"):
+                assert (tmp_path / f"b.{kind}.json").is_file()
+
+    @pytest.mark.parametrize("n, l, strategy", [(3, 3, "greedy"),
+                                                (2, 4, "round-robin")])
+    def test_input_and_batch_write_the_same_outputs(self, tmp_path, n, l,
+                                                     strategy):
+        single, batch = tmp_path / "single", tmp_path / "batch"
+        for directory in (single, batch):
+            directory.mkdir()
+            random_file(directory / "s.json", n, l, 5)
+        assert main(["reduce", "--input", str(single / "s.json"),
+                     "--strategy", strategy]) == 0
+        assert main(["reduce", "--batch", str(batch),
+                     "--strategy", strategy]) == 0
+        for kind in ("reduced", "trace"):
+            assert ((single / f"s.{kind}.json").read_bytes()
+                    == (batch / f"s.{kind}.json").read_bytes())
+        reports = [json.loads((d / "s.report.json").read_text())
+                   for d in (single, batch)]
+        for report in reports:
+            del report["duration_seconds"]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("flag", ["--input", "--output", "--trace", "--report"])
     def test_batch_rejects_single_file_flags(self, tmp_path, capsys, flag):
         random_file(tmp_path / "a.json", 2, 2, 1)

@@ -85,6 +85,17 @@ class TestNormPolicy:
         assert renormalized
         assert abs(loaded.norm - 1.0) < 1e-15
 
+    def test_renormalized_amplitudes_are_raw_over_norm(self, tmp_path):
+        # Repaired in place, bit for bit as dividing the raw amplitudes.
+        amps = random_state(3, 2, seed=4).amplitudes * (1 + 3e-9)
+        path = tmp_path / "s.json"
+        write_doc(path, state_doc(3, 2, amps))
+        _, _, raw, _ = read_state_file(path)
+        loaded, renormalized, _ = load_state(path)
+        assert renormalized
+        norm = float(np.sum(np.abs(raw) ** 2)) ** 0.5
+        assert np.array_equal(loaded.amplitudes, raw / norm)
+
     def test_large_deviation_rejected(self, tmp_path):
         amps = np.zeros(4, dtype=complex)
         amps[0] = 1.001
