@@ -1,17 +1,22 @@
 """JSON file formats for states, rotation traces, and run reports.
 
-Each file is one line of JSON; layout is not part of a format. Integer
-fields must be JSON integers (booleans rejected). Amplitudes are stored
-as [real, imag] pairs. Floats go through Python's shortest-round-trip
-decimal repr, so any finite double written by this tool reloads
-bit-exactly; a number too large for a double is rejected. The checks in
-``state`` judge shapes, the amplitude cap and rotation planes. State files
-whose norm is slightly off (at most 1e-8 from 1, e.g. hand-written
-fixtures) are renormalized on load and flagged; anything worse is rejected.
+Each file is one line of UTF-8 JSON; layout is not part of a format.
+Integer fields must be JSON integers (booleans rejected). A state of at
+most PAIRS_MAX_AMPLITUDES amplitudes is written as ``qudit-state/1``,
+whose amplitudes are [real, imag] pairs; a larger one as
+``qudit-state/2``, whose amplitudes are one base64 string of the
+little-endian complex128 values. Readers accept both. Floats go through
+Python's shortest-round-trip decimal repr, so any finite double written
+by this tool reloads bit-exactly; a number too large for a double, or a
+non-finite base64 value, is rejected. The checks in ``state`` judge
+shapes, the amplitude cap and rotation planes. State files whose norm is
+slightly off (at most 1e-8 from 1, e.g. hand-written fixtures) are
+renormalized on load and flagged; anything worse is rejected.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -23,12 +28,16 @@ from .reduction import (DecompositionTrace, LocalRotation, ReductionReport,
 from .state import NORM_ATOL, PureState, check_plane, check_shape
 
 STATE_FORMAT = "qudit-state/1"
+STATE_FORMAT_BASE64 = "qudit-state/2"
 TRACE_FORMAT = "qudit-trace/1"
 REPORT_FORMAT = "qudit-report/1"
 
 #: Integer fields of each trace rotation, in LocalRotation order.
 _ROTATION_INTS = ("stage", "site", "level_a", "level_b")
 _NUMBER = (int, float)
+
+#: States with more amplitudes than this are written as STATE_FORMAT_BASE64.
+PAIRS_MAX_AMPLITUDES = 4096
 
 #: Norm deviation (|sqrt(sum |a|^2) - 1|) beyond which a state file is rejected.
 MAX_NORM_DEVIATION = 1e-8
@@ -75,16 +84,40 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
     return _complex(raw)
 
 
-def _read_doc(path, fmt: str, parse):
-    """Load a JSON object, check its format tag and check_shape(n, l), and
-    return ``parse(doc)``. Every ValueError names ``path``, once, and keeps
-    its class, so an over-cap header raises CapacityError."""
+def _base64(a) -> str:
+    """A complex array as base64 of its little-endian complex128 bytes."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16")).decode("ascii")
+
+
+def _parse_base64(raw, n: int, l: int) -> np.ndarray:
+    """The n**l finite complex values of a base64 string, as a fresh,
+    writable vector."""
+    _require(type(raw) is str, "amplitudes must be a base64 string")
     try:
-        with open(path) as fh:
+        blob = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"amplitudes are not valid base64: {exc}") from None
+    _require(len(blob) == 16 * n**l,
+             f"expected {n**l} amplitudes for n={n}, l={l}, got "
+             f"{len(blob)} bytes of base64 payload, not {16 * n**l}")
+    amps = np.frombuffer(blob, "<c16").astype(np.complex128)
+    _require(bool(np.isfinite(amps).all()), "amplitudes must be finite")
+    return amps
+
+
+def _read_doc(path, formats: tuple, parse):
+    """Load a JSON object, check that its format tag is one of
+    ``formats`` and check_shape(n, l), and return ``parse(doc)``. Every
+    ValueError names ``path``, once, and keeps its class, so an over-cap
+    header raises CapacityError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        _require(isinstance(doc, dict), f"{fmt} file must hold a JSON object")
-        _require(doc.get("format") == fmt,
-                 f"unrecognized format {doc.get('format')!r}, expected {fmt!r}")
+        _require(isinstance(doc, dict),
+                 f"{formats[0]} file must hold a JSON object")
+        _require(doc.get("format") in formats,
+                 f"unrecognized format {doc.get('format')!r}, expected "
+                 f"{' or '.join(map(repr, formats))}")
         check_shape(_int(doc.get("n"), "field 'n'"),
                     _int(doc.get("l"), "field 'l'"))
         return parse(doc)
@@ -100,19 +133,23 @@ def _read_doc(path, fmt: str, parse):
 def read_state_file(path):
     """Parse and structurally validate a state file.
 
-    Returns (n, l, amplitudes, seed) with raw, unrenormalized
-    amplitudes; ``seed`` is the recorded generator seed or None. Use
-    load_state for the norm-checked variant.
+    Accepts both state formats. Returns (n, l, amplitudes, seed) with
+    raw, unrenormalized amplitudes in a fresh array; ``seed`` is the
+    recorded generator seed or None. Use load_state for the norm-checked
+    variant.
     """
     def parse(doc):
         n, l, seed = doc["n"], doc["l"], doc.get("seed")
-        amps = _parse_pairs(doc.get("amplitudes"), "amplitudes")
-        _require(len(amps) == n**l,
-                 f"expected {n**l} amplitudes for n={n}, l={l}, got {len(amps)}")
         if seed is not None:
             _int(seed, "field 'seed'")
+        raw = doc.get("amplitudes")
+        if doc["format"] == STATE_FORMAT_BASE64:
+            return n, l, _parse_base64(raw, n, l), seed
+        amps = _parse_pairs(raw, "amplitudes")
+        _require(len(amps) == n**l,
+                 f"expected {n**l} amplitudes for n={n}, l={l}, got {len(amps)}")
         return n, l, amps, seed
-    return _read_doc(path, STATE_FORMAT, parse)
+    return _read_doc(path, (STATE_FORMAT, STATE_FORMAT_BASE64), parse)
 
 
 def load_state(path):
@@ -133,11 +170,15 @@ def load_state(path):
 
 
 def save_state(path, state: PureState, *, seed: int | None = None) -> None:
+    """Write ``state`` as STATE_FORMAT_BASE64 if it has more than
+    PAIRS_MAX_AMPLITUDES amplitudes, else as STATE_FORMAT."""
+    amps = state.amplitudes
+    wide = amps.size > PAIRS_MAX_AMPLITUDES
     doc = {
-        "format": STATE_FORMAT,
+        "format": STATE_FORMAT_BASE64 if wide else STATE_FORMAT,
         "n": state.n,
         "l": state.l,
-        "amplitudes": _pairs(state.amplitudes),
+        "amplitudes": _base64(amps) if wide else _pairs(amps),
     }
     if seed is not None:
         doc["seed"] = int(seed)
@@ -186,7 +227,7 @@ def load_trace(path):
         rotations = [LocalRotation(*f, entries=e)
                      for f, e in zip(fields, _complex(pairs).reshape(-1, 2, 2))]
         return n, l, float(original_norm), rotations
-    return _read_doc(path, TRACE_FORMAT, parse)
+    return _read_doc(path, (TRACE_FORMAT,), parse)
 
 
 def report_to_dict(report: ReductionReport, *, tool_version: str,
@@ -223,6 +264,6 @@ def _dump(path, doc: dict) -> None:
     which json.dump never does; encoding first leaves no file behind
     when a value cannot be encoded."""
     text = json.dumps(doc)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

@@ -1,14 +1,20 @@
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quditreduce import PureState, product_state, random_state
-from quditreduce import cli
+import quditreduce
+from quditreduce import cli, fileio
 from quditreduce.cli import main
 from quditreduce.errors import InternalConsistencyError, OracleFailureError
-from quditreduce.fileio import load_state, save_state, save_trace
+from quditreduce.fileio import (STATE_FORMAT, STATE_FORMAT_BASE64, load_state,
+                                save_state, save_trace)
 from quditreduce.reduction import DecompositionTrace, LocalRotation
 
 RT2 = np.sqrt(2.0)
@@ -534,6 +540,20 @@ class TestVerify:
                      "--trace", str(trace), "--reduced", str(reduced)])
         assert code == 1
 
+    def test_pairs_original_against_base64_reduced(self, tmp_path, monkeypatch):
+        # The original of 8,192 amplitudes is forced to qudit-state/1;
+        # reduce then writes the reduced state as qudit-state/2.
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "PAIRS_MAX_AMPLITUDES", 2**13)
+            original = random_file(tmp_path / "s.json", 2, 13, 3)
+        assert main(["reduce", "--input", str(original)]) == 0
+        reduced = tmp_path / "s.reduced.json"
+        assert json.loads(original.read_text())["format"] == STATE_FORMAT
+        assert json.loads(reduced.read_text())["format"] == STATE_FORMAT_BASE64
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(tmp_path / "s.trace.json"), "--reduced", str(reduced)])
+        assert code == 0
+
 
 class TestSchmidt:
     def test_bell(self, tmp_path, capsys):
@@ -587,6 +607,28 @@ def test_huge_header_exits_1_naming_file_and_cap(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count(str(big)) == 1
     assert "cap" in err
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # Under warn_default_encoding, every open() without an encoding warns,
+    # and -W error turns that warning into a failure.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(quditreduce.__file__).parents[1]))
+    state = tmp_path / "s.json"
+    commands = (
+        ["random", "--n", "2", "--l", "3", "--seed", "1", "--output", str(state)],
+        ["reduce", "--input", str(state)],
+        ["verify", "--original", str(state), "--trace",
+         str(tmp_path / "s.trace.json"), "--reduced",
+         str(tmp_path / "s.reduced.json")],
+    )
+    for command in commands:
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "quditreduce.cli", *command],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+            timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestParser:

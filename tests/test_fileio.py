@@ -1,8 +1,13 @@
+import base64
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quditreduce import fileio
 
 from quditreduce import (
     CapacityError,
@@ -13,7 +18,9 @@ from quditreduce import (
 )
 from quditreduce.fileio import (
     MAX_NORM_DEVIATION,
+    PAIRS_MAX_AMPLITUDES,
     STATE_FORMAT,
+    STATE_FORMAT_BASE64,
     TRACE_FORMAT,
     file_digest,
     load_state,
@@ -46,6 +53,18 @@ def state_doc(n, l, amps, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def base64_doc(n, l, amps, **extra):
+    """A qudit-state/2 document of ``amps`` as little-endian complex128."""
+    payload = base64.b64encode(np.asarray(amps, dtype="<c16")).decode("ascii")
+    doc = {"format": STATE_FORMAT_BASE64, "n": n, "l": l, "amplitudes": payload}
+    doc.update(extra)
+    return doc
+
+
+def format_of(path):
+    return json.loads(path.read_text(encoding="utf-8"))["format"]
 
 
 class TestStateRoundTrip:
@@ -213,6 +232,128 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="too large for a double") as info:
             read(path)
         assert str(info.value).count(str(path)) == 1
+
+
+class TestBase64States:
+    def test_threshold(self):
+        assert PAIRS_MAX_AMPLITUDES == 4096
+
+    @pytest.mark.parametrize("n, l, fmt", [(2, 12, STATE_FORMAT),
+                                           (4, 6, STATE_FORMAT),
+                                           (2, 13, STATE_FORMAT_BASE64),
+                                           (3, 8, STATE_FORMAT_BASE64)])
+    def test_written_above_pairs_max_and_bit_exact(self, tmp_path, n, l, fmt):
+        s = random_state(n, l, seed=n + l)
+        path = tmp_path / "s.json"
+        save_state(path, s, seed=n + l)
+        assert format_of(path) == fmt
+        loaded, renormalized, seed = load_state(path)
+        assert loaded.amplitudes.tobytes() == s.amplitudes.tobytes()
+        assert not renormalized
+        assert seed == n + l
+        assert (loaded.n, loaded.l) == (n, l)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.none() | st.integers(-2**63, 2**63))
+    def test_round_trip_every_shape(self, tmp_path, monkeypatch, n, l,
+                                    state_seed, seed):
+        # Each example overwrites the same file, so sharing tmp_path and
+        # the patched threshold across examples is harmless.
+        monkeypatch.setattr(fileio, "PAIRS_MAX_AMPLITUDES", 0)
+        s = random_state(n, l, seed=state_seed)
+        path = tmp_path / "s.json"
+        save_state(path, s, seed=seed)
+        assert format_of(path) == STATE_FORMAT_BASE64
+        got_n, got_l, amps, got_seed = read_state_file(path)
+        assert (got_n, got_l, got_seed) == (n, l, seed)
+        assert amps.tobytes() == s.amplitudes.tobytes()
+
+    def test_both_formats_load_bit_identically(self, tmp_path, monkeypatch):
+        s = random_state(3, 4, seed=11)
+        pairs, blob = tmp_path / "pairs.json", tmp_path / "blob.json"
+        save_state(pairs, s)
+        monkeypatch.setattr(fileio, "PAIRS_MAX_AMPLITUDES", 0)
+        save_state(blob, s)
+        assert (format_of(pairs), format_of(blob)) == (STATE_FORMAT,
+                                                       STATE_FORMAT_BASE64)
+        from_pairs, from_blob = load_state(pairs)[0], load_state(blob)[0]
+        assert from_pairs.amplitudes.tobytes() == from_blob.amplitudes.tobytes()
+
+    def test_slightly_off_norm_renormalized(self, tmp_path):
+        amps = random_state(3, 2, seed=4).amplitudes * (1 + 3e-9)
+        path = tmp_path / "s.json"
+        write_doc(path, base64_doc(3, 2, amps))
+        _, _, raw, _ = read_state_file(path)
+        assert raw.flags.writeable and raw.dtype == np.complex128
+        loaded, renormalized, _ = load_state(path)
+        assert renormalized
+        norm = float(np.sum(np.abs(raw) ** 2)) ** 0.5
+        assert np.array_equal(loaded.amplitudes, raw / norm)
+
+    def rejects(self, path, doc, match, error=ValueError):
+        write_doc(path, doc)
+        with pytest.raises(error, match=match) as info:
+            read_state_file(path)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_rejects_non_string_payload(self, tmp_path):
+        doc = state_doc(2, 1, np.array([1, 0], dtype=complex))
+        doc["format"] = STATE_FORMAT_BASE64
+        self.rejects(tmp_path / "s.json", doc, "base64 string")
+
+    @pytest.mark.parametrize("char", ["!", "\u00e9", " ", "\n"])
+    def test_rejects_non_alphabet_character(self, tmp_path, char):
+        # Inserted, not replacing: a lenient decoder would skip it and
+        # read the intact payload.
+        doc = base64_doc(2, 1, [1, 0])
+        doc["amplitudes"] = char + doc["amplitudes"]
+        self.rejects(tmp_path / "s.json", doc, "not valid base64")
+
+    def test_rejects_bad_padding(self, tmp_path):
+        doc = base64_doc(2, 1, [1, 0])
+        assert doc["amplitudes"].endswith("=")
+        doc["amplitudes"] = doc["amplitudes"][:-1]
+        self.rejects(tmp_path / "s.json", doc, "not valid base64")
+
+    def test_rejects_payload_cut_by_four_characters(self, tmp_path):
+        doc = base64_doc(2, 2, [1, 0, 0, 0])
+        doc["amplitudes"] = doc["amplitudes"][:-4]
+        self.rejects(tmp_path / "s.json", doc, "expected 4 amplitudes")
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-16], lambda b: b + bytes(16),
+                                      lambda b: b[:-1], lambda b: b""])
+    def test_rejects_wrong_decoded_length(self, tmp_path, edit):
+        blob = np.array([1, 0, 0, 0], dtype="<c16").tobytes()
+        doc = base64_doc(2, 2, [1, 0, 0, 0])
+        doc["amplitudes"] = base64.b64encode(edit(blob)).decode("ascii")
+        self.rejects(tmp_path / "s.json", doc, "expected 4 amplitudes")
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf),
+                                     complex(-np.inf, 0)])
+    def test_rejects_non_finite_values(self, tmp_path, bad):
+        self.rejects(tmp_path / "s.json", base64_doc(2, 1, [1, bad]), "finite")
+
+    @pytest.mark.parametrize("l", [27, 10**7])
+    def test_over_cap_header_judged_before_payload(self, tmp_path, l):
+        # The payload is not base64 at all: the header check comes first.
+        doc = {"format": STATE_FORMAT_BASE64, "n": 2, "l": l,
+               "amplitudes": "!"}
+        self.rejects(tmp_path / "s.json", doc, "exceeds the amplitude cap",
+                     CapacityError)
+
+    @pytest.mark.parametrize("field", ["n", "l", "seed"])
+    def test_rejects_boolean_integer_fields(self, tmp_path, field):
+        doc = base64_doc(2, 1, [1, 0], seed=3)
+        doc[field] = True
+        self.rejects(tmp_path / "s.json", doc, f"'{field}' must be an integer")
+
+    def test_format_tag_names_both_versions(self, tmp_path):
+        doc = base64_doc(2, 1, [1, 0])
+        doc["format"] = "qudit-state/3"
+        self.rejects(tmp_path / "s.json", doc,
+                     f"expected '{STATE_FORMAT}' or '{STATE_FORMAT_BASE64}'")
 
 
 class TestTraceFiles:
