@@ -5,13 +5,16 @@ Integer fields must be JSON integers (booleans rejected). A state of at
 most PAIRS_MAX_AMPLITUDES amplitudes is written as ``qudit-state/1``,
 whose amplitudes are [real, imag] pairs; a larger one as
 ``qudit-state/2``, whose amplitudes are one base64 string of the
-little-endian complex128 values. Readers accept both. Floats go through
-Python's shortest-round-trip decimal repr, so any finite double written
-by this tool reloads bit-exactly; a number too large for a double, or a
-non-finite base64 value, is rejected. The checks in ``state`` judge
-shapes, the amplitude cap and rotation planes. State files whose norm is
-slightly off (at most 1e-8 from 1, e.g. hand-written fixtures) are
-renormalized on load and flagged; anything worse is rejected.
+little-endian complex128 values. Traces are written as
+``qudit-trace/2``, whose rotations are base64 strings of TRACE_RECORD
+records; ``qudit-trace/1`` (one object per rotation) is still read.
+Floats in JSON go through Python's shortest-round-trip decimal repr, so
+any finite double written by this tool reloads bit-exactly; a number too
+large for a double, or a non-finite amplitude in either state format, is
+rejected. The checks in ``state`` judge shapes, the amplitude cap and
+rotation planes. State files whose norm is slightly off (at most 1e-8
+from 1, e.g. hand-written fixtures) are renormalized on load and
+flagged; anything worse is rejected.
 """
 
 from __future__ import annotations
@@ -30,11 +33,16 @@ from .state import NORM_ATOL, PureState, check_plane, check_shape
 STATE_FORMAT = "qudit-state/1"
 STATE_FORMAT_BASE64 = "qudit-state/2"
 TRACE_FORMAT = "qudit-trace/1"
+TRACE_FORMAT_BASE64 = "qudit-trace/2"
 REPORT_FORMAT = "qudit-report/1"
 
 #: Integer fields of each trace rotation, in LocalRotation order.
 _ROTATION_INTS = ("stage", "site", "level_a", "level_b")
 _NUMBER = (int, float)
+
+#: One TRACE_FORMAT_BASE64 rotation: stage, site, level_a, level_b, then
+#: the row-major 2x2 unitary, all little-endian (80 bytes).
+TRACE_RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
 
 #: States with more amplitudes than this are written as STATE_FORMAT_BASE64.
 PAIRS_MAX_AMPLITUDES = 4096
@@ -90,8 +98,8 @@ def _base64(a) -> str:
 
 
 def _parse_base64(raw, n: int, l: int) -> np.ndarray:
-    """The n**l finite complex values of a base64 string, as a fresh,
-    writable vector."""
+    """The n**l complex values of a base64 string, as a fresh, writable
+    vector."""
     _require(type(raw) is str, "amplitudes must be a base64 string")
     try:
         blob = base64.b64decode(raw, validate=True)
@@ -100,9 +108,7 @@ def _parse_base64(raw, n: int, l: int) -> np.ndarray:
     _require(len(blob) == 16 * n**l,
              f"expected {n**l} amplitudes for n={n}, l={l}, got "
              f"{len(blob)} bytes of base64 payload, not {16 * n**l}")
-    amps = np.frombuffer(blob, "<c16").astype(np.complex128)
-    _require(bool(np.isfinite(amps).all()), "amplitudes must be finite")
-    return amps
+    return np.frombuffer(blob, "<c16").astype(np.complex128)
 
 
 def _read_doc(path, formats: tuple, parse):
@@ -144,10 +150,13 @@ def read_state_file(path):
             _int(seed, "field 'seed'")
         raw = doc.get("amplitudes")
         if doc["format"] == STATE_FORMAT_BASE64:
-            return n, l, _parse_base64(raw, n, l), seed
-        amps = _parse_pairs(raw, "amplitudes")
-        _require(len(amps) == n**l,
-                 f"expected {n**l} amplitudes for n={n}, l={l}, got {len(amps)}")
+            amps = _parse_base64(raw, n, l)
+        else:
+            amps = _parse_pairs(raw, "amplitudes")
+            _require(len(amps) == n**l, f"expected {n**l} amplitudes for "
+                     f"n={n}, l={l}, got {len(amps)}")
+        # Both formats: json.load takes the non-JSON NaN and Infinity.
+        _require(bool(np.isfinite(amps).all()), "amplitudes must be finite")
         return n, l, amps, seed
     return _read_doc(path, (STATE_FORMAT, STATE_FORMAT_BASE64), parse)
 
@@ -186,22 +195,70 @@ def save_state(path, state: PureState, *, seed: int | None = None) -> None:
 
 
 def save_trace(path, trace: DecompositionTrace) -> None:
+    """Write ``trace`` as TRACE_FORMAT_BASE64: its rotations as one
+    base64 string of TRACE_RECORD records, or [] when there are none."""
     final, rotations = trace.final_state, trace.rotations
+    chunks = []
+    if rotations:
+        records = np.empty(len(rotations), TRACE_RECORD)
+        records["plane"] = [(r.stage, r.site, r.level_a, r.level_b)
+                            for r in rotations]
+        records["entries"] = stacked_entries(rotations)
+        chunks.append(base64.b64encode(records).decode("ascii"))
     _dump(path, {
-        "format": TRACE_FORMAT,
+        "format": TRACE_FORMAT_BASE64,
         "n": final.n,
         "l": final.l,
         "original_norm": float(trace.original_norm),
-        "rotations": [
-            {"stage": r.stage, "site": r.site, "level_a": r.level_a,
-             "level_b": r.level_b, "entries": e}
-            for r, e in zip(rotations, _pairs(stacked_entries(rotations)))
-        ],
+        "rotations": chunks,
     })
 
 
+def _parse_rotations_pairs(raw, n: int, l: int):
+    """The int fields, one list per rotation, and the (R, 2, 2) complex
+    entries of TRACE_FORMAT rotation objects."""
+    fields, pairs = [], []
+    for i, r in enumerate(raw):
+        try:
+            fields.append([_int(r[key], key) for key in _ROTATION_INTS])
+            (e00, e01), (e10, e11) = r["entries"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
+        if not (_is_pair(e00) and _is_pair(e01)
+                and _is_pair(e10) and _is_pair(e11)):
+            raise ValueError(f"rotations[{i}] is malformed: entries must be "
+                             f"[re, im] number pairs")
+        pairs += (e00, e01, e10, e11)
+    # Object dtype keeps every JSON integer exact, however large.
+    planes = np.array(fields, dtype=object).reshape(-1, 4)
+    check_plane(n, l, *planes[:, 1:].T, what="rotations")
+    return fields, _complex(pairs).reshape(-1, 2, 2)
+
+
+def _parse_rotations_base64(raw, n: int, l: int):
+    """The int fields, one list per rotation, and the (R, 2, 2) complex
+    entries of TRACE_FORMAT_BASE64 strings of records."""
+    chunks = []
+    for i, chunk in enumerate(raw):
+        _require(type(chunk) is str, f"rotations[{i}] must be a base64 string")
+        try:
+            blob = base64.b64decode(chunk, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"rotations[{i}] is not valid base64: {exc}") from None
+        _require(len(blob) % TRACE_RECORD.itemsize == 0,
+                 f"rotations[{i}] decodes to {len(blob)} bytes, not a whole "
+                 f"number of {TRACE_RECORD.itemsize}-byte records")
+        records = np.frombuffer(blob, TRACE_RECORD)
+        check_plane(n, l, *records["plane"][:, 1:].T,
+                    what=f"rotations[{i}], record")
+        chunks.append(records)
+    records = np.concatenate(chunks) if chunks else np.empty(0, TRACE_RECORD)
+    return records["plane"].tolist(), records["entries"].astype(np.complex128)
+
+
 def load_trace(path):
-    """Returns (n, l, original_norm, rotations)."""
+    """Read either trace format. Returns (n, l, original_norm, rotations),
+    each rotation's entries a 2x2 view into one writable (R, 2, 2) array."""
     def parse(doc):
         n, l = doc["n"], doc["l"]
         original_norm = doc.get("original_norm", 1.0)
@@ -209,25 +266,14 @@ def load_trace(path):
                  "field 'original_norm' must be a number")
         raw = doc.get("rotations")
         _require(isinstance(raw, list), "field 'rotations' must be a list")
-        fields, pairs = [], []
-        for i, r in enumerate(raw):
-            try:
-                stage, site, a, b = [_int(r[key], key) for key in _ROTATION_INTS]
-                check_plane(n, l, site, a, b)
-                (e00, e01), (e10, e11) = r["entries"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
-            if not (_is_pair(e00) and _is_pair(e01)
-                    and _is_pair(e10) and _is_pair(e11)):
-                raise ValueError(f"rotations[{i}] is malformed: entries must be "
-                                 f"[re, im] number pairs")
-            fields.append((stage, site, a, b))
-            pairs += (e00, e01, e10, e11)
-        # One conversion for all entries; each rotation gets a 2x2 view.
+        parse_rotations = (_parse_rotations_base64
+                           if doc["format"] == TRACE_FORMAT_BASE64
+                           else _parse_rotations_pairs)
+        fields, entries = parse_rotations(raw, n, l)
         rotations = [LocalRotation(*f, entries=e)
-                     for f, e in zip(fields, _complex(pairs).reshape(-1, 2, 2))]
+                     for f, e in zip(fields, entries)]
         return n, l, float(original_norm), rotations
-    return _read_doc(path, (TRACE_FORMAT,), parse)
+    return _read_doc(path, (TRACE_FORMAT, TRACE_FORMAT_BASE64), parse)
 
 
 def report_to_dict(report: ReductionReport, *, tool_version: str,

@@ -61,11 +61,22 @@ def check_unitary(entries) -> None:
             f"has ||R R^dagger - I||_max = {defects[i]:.3e} > {UNITARITY_ATOL}")
 
 
-def check_plane(n: int, l: int, site: int, level_a: int, level_b: int) -> None:
-    """Require 0 <= site < l and 0 <= level_a < level_b < n."""
-    if not (0 <= site < l and 0 <= level_a < level_b < n):
-        raise ValueError(f"out-of-range plane: site {site}, levels "
-                         f"({level_a}, {level_b}) for n={n}, l={l}")
+def check_plane(n: int, l: int, site, level_a, level_b,
+                what: str = "planes") -> None:
+    """Require 0 <= site < l and 0 <= level_a < level_b < n, of ints or,
+    elementwise, of equal-length integer arrays; an array's error names
+    its first failing plane as what[i]."""
+    ok = np.asarray((0 <= site) & (site < l) & (0 <= level_a)
+                    & (level_a < level_b) & (level_b < n), dtype=bool)
+    if ok.all():
+        return
+    where = ""
+    if ok.ndim:
+        i = int(np.argmin(ok))
+        where = f" in {what}[{i}]"
+        site, level_a, level_b = site[i], level_a[i], level_b[i]
+    raise ValueError(f"out-of-range plane{where}: site {site}, levels "
+                     f"({level_a}, {level_b}) for n={n}, l={l}")
 
 
 def index_encode(digits, n: int) -> int:

@@ -14,7 +14,7 @@ from quditreduce import cli, fileio
 from quditreduce.cli import main
 from quditreduce.errors import InternalConsistencyError, OracleFailureError
 from quditreduce.fileio import (STATE_FORMAT, STATE_FORMAT_BASE64, load_state,
-                                save_state, save_trace)
+                                load_trace, save_state, save_trace)
 from quditreduce.reduction import DecompositionTrace, LocalRotation
 
 RT2 = np.sqrt(2.0)
@@ -460,8 +460,13 @@ class TestVerify:
         ("rotation", "stage", "0"),
         ("rotation", "site", 0.9),
     ])
-    def test_malformed_trace_exits_1(self, tmp_path, capsys, where, key, value):
+    def test_malformed_trace_exits_1(self, tmp_path, capsys, where, key, value,
+                                     save_trace_v1):
         original, trace, reduced = self._reduce(tmp_path)
+        # Rewritten as /1, whose rotations are objects with these fields.
+        _, _, norm, rotations = load_trace(trace)
+        save_trace_v1(trace, DecompositionTrace(norm, rotations,
+                                                load_state(reduced)[0]))
         doc = json.loads(trace.read_text())
         (doc if where == "top" else doc["rotations"][0])[key] = value
         trace.write_text(json.dumps(doc))
@@ -469,6 +474,24 @@ class TestVerify:
                      str(trace), "--reduced", str(reduced)])
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, token", [("verify", "NaN"),
+                                                ("reduce", "Infinity")])
+    def test_non_finite_json_token_exits_1(self, tmp_path, capsys, command,
+                                           token):
+        # json.dumps writes NaN and Infinity as these non-JSON tokens: in
+        # the reduced file verify reads, or in the input reduce reads.
+        original, trace, reduced = self._reduce(tmp_path)
+        path = reduced if command == "verify" else original
+        doc = json.loads(path.read_text())
+        doc["amplitudes"][0] = [float(token), 0.0]
+        path.write_text(json.dumps(doc))
+        assert token in path.read_text()
+        argv = (["verify", "--original", str(original), "--trace", str(trace),
+                 "--reduced", str(reduced)] if command == "verify"
+                else ["reduce", "--input", str(original)])
+        assert main(argv) == 1
+        assert f"{path}: amplitudes must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--original", "--trace", "--reduced"])
     def test_malformed_file_is_named(self, tmp_path, capsys, flag):

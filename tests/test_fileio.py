@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quditreduce import fileio
+from quditreduce.cli import main
+from quditreduce.reduction import LocalRotation, stacked_entries
 
 from quditreduce import (
     CapacityError,
@@ -22,6 +24,7 @@ from quditreduce.fileio import (
     STATE_FORMAT,
     STATE_FORMAT_BASE64,
     TRACE_FORMAT,
+    TRACE_FORMAT_BASE64,
     file_digest,
     load_state,
     load_trace,
@@ -233,6 +236,17 @@ class TestStateValidation:
             read(path)
         assert str(info.value).count(str(path)) == 1
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_json_token(self, tmp_path, token):
+        # json.load reads these non-JSON tokens as floats; /1 rejects them
+        # as /2 rejects the same values.
+        path = tmp_path / "s.json"
+        path.write_text(f'{{"format": "{STATE_FORMAT}", "n": 2, "l": 1, '
+                        f'"amplitudes": [[{token}, 0], [0, 0]]}}')
+        with pytest.raises(ValueError, match="amplitudes must be finite") as info:
+            read_state_file(path)
+        assert str(info.value).count(str(path)) == 1
+
 
 class TestBase64States:
     def test_threshold(self):
@@ -379,11 +393,11 @@ class TestTraceFiles:
                 (want.stage, want.site, want.level_a, want.level_b)
             assert np.array_equal(got.entries, want.entries)
 
-    def test_rejects_out_of_range_rotation(self, tmp_path):
+    def test_rejects_out_of_range_rotation(self, tmp_path, save_trace_v1):
         s = random_state(2, 2, seed=1)
         trace, _ = reduce(s)
         path = tmp_path / "t.json"
-        save_trace(path, trace)
+        save_trace_v1(path, trace)
         doc = json.loads(path.read_text())
         assert doc["rotations"], "fixture needs at least one rotation"
         doc["rotations"][0]["site"] = 5
@@ -391,11 +405,24 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="out-of-range"):
             load_trace(path)
 
-    def test_rejects_malformed_entries(self, tmp_path):
+    @pytest.mark.parametrize("site", [2**63, 10**30])
+    def test_rejects_huge_rotation_field(self, tmp_path, site, save_trace_v1):
+        # Past int64, yet named exactly: the plane check sees Python ints.
+        trace, _ = reduce(random_state(2, 2, seed=1))
+        path = tmp_path / "t.json"
+        save_trace_v1(path, trace)
+        doc = json.loads(path.read_text())
+        doc["rotations"][1]["site"] = site
+        write_doc(path, doc)
+        with pytest.raises(ValueError, match=rf"out-of-range plane in "
+                                             rf"rotations\[1\]: site {site},"):
+            load_trace(path)
+
+    def test_rejects_malformed_entries(self, tmp_path, save_trace_v1):
         s = random_state(2, 2, seed=1)
         trace, _ = reduce(s)
         path = tmp_path / "t.json"
-        save_trace(path, trace)
+        save_trace_v1(path, trace)
         good = json.loads(path.read_text())
         # A missing matrix, then pairs read_state_file also rejects:
         # empty, boolean, and a one-element string list.
@@ -412,11 +439,12 @@ class TestTraceFiles:
     @pytest.mark.parametrize("key, value", [
         ("stage", "0"), ("site", 0.9), ("level_a", True), ("level_b", None),
     ])
-    def test_rejects_non_integer_rotation_fields(self, tmp_path, key, value):
+    def test_rejects_non_integer_rotation_fields(self, tmp_path, key, value,
+                                                 save_trace_v1):
         s = random_state(2, 2, seed=1)
         trace, _ = reduce(s)
         path = tmp_path / "t.json"
-        save_trace(path, trace)
+        save_trace_v1(path, trace)
         doc = json.loads(path.read_text())
         doc["rotations"][0][key] = value
         write_doc(path, doc)
@@ -432,6 +460,190 @@ class TestTraceFiles:
         write_doc(path, doc)
         with pytest.raises(ValueError, match="original_norm"):
             load_trace(path)
+
+
+#: The qudit-trace/2 record, spelled out so that the tests pin the layout.
+RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
+
+
+def trace_records(planes, entries=None):
+    """Records of ``planes`` (stage, site, level_a, level_b), each with
+    the identity as its entries unless ``entries`` is given."""
+    records = np.zeros(len(planes), RECORD)
+    records["plane"] = np.reshape(planes, (-1, 4))
+    records["entries"] = np.eye(2) if entries is None else entries
+    return records
+
+
+def base64_trace_doc(n, l, *chunks, original_norm=1.0):
+    """A qudit-trace/2 document with one base64 string per record array."""
+    return {"format": TRACE_FORMAT_BASE64, "n": n, "l": l,
+            "original_norm": original_norm,
+            "rotations": [base64.b64encode(c.tobytes()).decode("ascii")
+                          for c in chunks]}
+
+
+def fields_and_entries(rotations):
+    return ([(r.stage, r.site, r.level_a, r.level_b) for r in rotations],
+            stacked_entries(rotations))
+
+
+class TestBase64Traces:
+    def test_record_layout(self):
+        assert fileio.TRACE_RECORD == RECORD
+        assert RECORD.itemsize == 80
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 40),
+           st.integers(0, 2**32 - 1))
+    def test_round_trip_every_shape(self, tmp_path, n, l, count, seed):
+        # Arbitrary in-range planes and arbitrary complex entries (not
+        # unitary: the file format does not judge them).
+        rng = np.random.default_rng(seed)
+        rotations = []
+        for _ in range(count):
+            b = int(rng.integers(1, n))
+            rotations.append(LocalRotation(
+                stage=int(rng.integers(0, n - 1)), site=int(rng.integers(0, l)),
+                level_a=int(rng.integers(0, b)), level_b=b,
+                entries=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+        trace = DecompositionTrace(float(rng.uniform(0.5, 2)), rotations,
+                                   random_state(n, l, seed=seed))
+        path = tmp_path / "t.json"
+        save_trace(path, trace)
+        assert json.loads(path.read_text())["format"] == TRACE_FORMAT_BASE64
+        got_n, got_l, original_norm, got = load_trace(path)
+        assert (got_n, got_l, original_norm) == (n, l, trace.original_norm)
+        got_fields, got_entries = fields_and_entries(got)
+        want_fields, want_entries = fields_and_entries(rotations)
+        assert got_fields == want_fields
+        assert all(type(v) is int for f in got_fields for v in f)
+        assert got_entries.tobytes() == want_entries.tobytes()
+
+    def test_entries_are_views_of_one_writable_array(self, tmp_path):
+        trace, _ = reduce(random_state(3, 2, seed=14))
+        path = tmp_path / "t.json"
+        save_trace(path, trace)
+        rotations = load_trace(path)[3]
+        base = rotations[0].entries.base
+        assert base.shape == (len(rotations), 2, 2)
+        assert base.dtype == np.complex128 and base.flags.writeable
+        assert all(r.entries.base is base for r in rotations)
+
+    def test_both_formats_load_identically(self, tmp_path, save_trace_v1):
+        trace, _ = reduce(random_state(3, 3, seed=8))
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        save_trace_v1(v1, trace)
+        save_trace(v2, trace)
+        n1, l1, norm1, rot1 = load_trace(v1)
+        n2, l2, norm2, rot2 = load_trace(v2)
+        assert (n1, l1, norm1) == (n2, l2, norm2)
+        fields1, entries1 = fields_and_entries(rot1)
+        fields2, entries2 = fields_and_entries(rot2)
+        assert fields1 == fields2
+        assert entries1.tobytes() == entries2.tobytes()
+
+    def test_empty_trace_is_an_empty_list(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_trace(path, DecompositionTrace(1.0, [], random_state(2, 2, seed=1)))
+        doc = json.loads(path.read_text())
+        assert (doc["format"], doc["rotations"]) == (TRACE_FORMAT_BASE64, [])
+        assert load_trace(path) == (2, 2, 1.0, [])
+
+    def test_emptied_rotations_load_as_empty_trace(self, tmp_path):
+        trace, _ = reduce(random_state(2, 3, seed=2))
+        path = tmp_path / "t.json"
+        save_trace(path, trace)
+        doc = json.loads(path.read_text())
+        assert len(doc["rotations"]) == 1
+        doc["rotations"] = []
+        write_doc(path, doc)
+        assert load_trace(path)[3] == []
+
+    def test_several_chunks_concatenate(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_doc(path, base64_trace_doc(3, 2, trace_records([(0, 0, 0, 1)]),
+                                         trace_records([]),
+                                         trace_records([(1, 1, 1, 2)] * 2)))
+        fields, _ = fields_and_entries(load_trace(path)[3])
+        assert fields == [(0, 0, 0, 1), (1, 1, 1, 2), (1, 1, 1, 2)]
+
+    def rejects(self, path, doc, match, error=ValueError):
+        write_doc(path, doc)
+        with pytest.raises(error, match=match) as info:
+            load_trace(path)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_rejects_non_list_rotations(self, tmp_path):
+        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc["rotations"] = doc["rotations"][0]
+        self.rejects(tmp_path / "t.json", doc, "'rotations' must be a list")
+
+    def test_rejects_non_string_item(self, tmp_path):
+        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc["rotations"].append({"stage": 0})
+        self.rejects(tmp_path / "t.json", doc,
+                     r"rotations\[1\] must be a base64 string")
+
+    @pytest.mark.parametrize("char", ["!", "é", " ", "\n"])
+    def test_rejects_non_alphabet_character(self, tmp_path, char):
+        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc["rotations"][0] = char + doc["rotations"][0]
+        self.rejects(tmp_path / "t.json", doc,
+                     r"rotations\[0\] is not valid base64")
+
+    def test_rejects_bad_padding(self, tmp_path):
+        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        assert doc["rotations"][0].endswith("=")
+        doc["rotations"][0] = doc["rotations"][0][:-1]
+        self.rejects(tmp_path / "t.json", doc,
+                     r"rotations\[0\] is not valid base64")
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + bytes(1),
+                                      lambda b: b[:-4 * 3]])
+    def test_rejects_partial_record(self, tmp_path, edit):
+        blob = trace_records([(0, 0, 0, 1)] * 2).tobytes()
+        doc = base64_trace_doc(2, 1)
+        doc["rotations"] = [base64.b64encode(edit(blob)).decode("ascii")]
+        self.rejects(tmp_path / "t.json", doc, "not a whole number of 80-byte")
+
+    @pytest.mark.parametrize("plane", [
+        (0, 2, 0, 1),    # site = l
+        (0, 0, 1, 1),    # level_a = level_b
+        (0, 0, 2, 1),    # level_a > level_b
+        (0, 0, 0, 3),    # level_b = n
+        (0, -1, 0, 1),   # negative site
+        (0, 0, -1, 1),   # negative level_a
+    ])
+    def test_rejects_out_of_range_plane(self, tmp_path, plane):
+        # The bad record follows a good one: the error names record 1 of
+        # the second string.
+        good = trace_records([(0, 0, 0, 1)])
+        doc = base64_trace_doc(3, 2, good, trace_records([(0, 1, 1, 2), plane]))
+        self.rejects(tmp_path / "t.json", doc,
+                     r"out-of-range plane in rotations\[1\], record\[1\]")
+
+    @pytest.mark.parametrize("l", [27, 10**7])
+    def test_over_cap_header_judged_before_payload(self, tmp_path, l):
+        doc = base64_trace_doc(2, l)
+        doc["rotations"] = ["!"]
+        self.rejects(tmp_path / "t.json", doc, "exceeds the amplitude cap",
+                     CapacityError)
+
+    def test_non_finite_entry_loads_and_fails_verify(self, tmp_path, capsys):
+        state = random_state(2, 2, seed=3)
+        original, path = tmp_path / "s.json", tmp_path / "t.json"
+        save_state(original, state)
+        entries = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        write_doc(path, base64_trace_doc(2, 2, trace_records([(0, 0, 0, 1)],
+                                                             entries)))
+        rotations = load_trace(path)[3]
+        assert np.isnan(rotations[0].entries[0, 0])
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(path), "--reduced", str(original)])
+        assert code == 3
+        assert "rotations[0]" in capsys.readouterr().out
 
 
 class TestReports:

@@ -348,6 +348,27 @@ def test_check_plane_rejects(site, level_a, level_b):
         check_plane(3, 2, site, level_a, level_b)
 
 
+def test_check_plane_scalars_and_arrays():
+    check_plane(3, 2, 1, 0, 2)
+    with pytest.raises(ValueError, match=r"^out-of-range plane: site 2, "
+                                         r"levels \(0, 1\) for n=3, l=2$"):
+        check_plane(3, 2, 2, 0, 1)
+    site, level_a, level_b = np.array([[0, 1, 2, 0], [0, 1, 0, 3], [1, 2, 1, 1]])
+    check_plane(3, 2, site[:2], level_a[:2], level_b[:2])
+    check_plane(3, 2, site[:0], level_a[:0], level_b[:0])
+    # Planes 2 and 3 both fail; the first is named, by index.
+    with pytest.raises(ValueError, match=r"^out-of-range plane in planes\[2\]: "
+                                         r"site 2, levels \(0, 1\) for n=3, l=2$"):
+        check_plane(3, 2, site, level_a, level_b)
+    site[2] = 1
+    with pytest.raises(ValueError, match=r"in rotations\[3\]: site 0, levels \(3, 1\)"):
+        check_plane(3, 2, site, level_a, level_b, what="rotations")
+    # Object arrays hold integers of any size exactly.
+    huge = np.array([0, 10**30], dtype=object)
+    with pytest.raises(ValueError, match=rf"planes\[1\]: site {10**30},"):
+        check_plane(3, 2, huge, np.zeros(2, int), np.ones(2, int))
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2**16 - 1))
 def test_rotation_composition_preserves_norm(seed):
