@@ -12,7 +12,6 @@ from .errors import (
 )
 from .reduction import (
     DecompositionTrace,
-    LocalRotation,
     invert_trace,
     reduce,
     stage_targets,
@@ -43,7 +42,6 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidIndexError",
     "InvalidRotationError",
-    "LocalRotation",
     "NonConvergenceError",
     "OracleFailureError",
     "PureState",

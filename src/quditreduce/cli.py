@@ -45,7 +45,7 @@ from .fileio import (
     save_trace,
 )
 from .reduction import (DEFAULT_EPSILON, DEFAULT_MAX_ITERS, STRATEGIES,
-                        invert_rotations, reduce, stacked_entries)
+                        check_stages, invert_rotations, reduce)
 from .spectral import schmidt_coefficients
 from .state import (check_normalized, check_unitary, index_encode,
                     random_state)
@@ -202,20 +202,21 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     original, _, _ = load_state(args.original)
     n1, l1, reduced, _ = read_state_file(args.reduced)
-    nt, lt, _, rotations = load_trace(args.trace)
+    nt, lt, _, records = load_trace(args.trace)
     if not (original.n == n1 == nt and original.l == l1 == lt):
         raise ValueError(f"shape mismatch: original ({original.n},{original.l}), "
                          f"reduced ({n1},{l1}), trace ({nt},{lt})")
     # The inversion folds the whole trace into one unitary per site, which
-    # hides a bad rotation, so each rotation and the reduced norm are
-    # checked on their own first.
+    # hides a bad rotation, so each rotation's stage and unitarity and the
+    # reduced norm are checked on their own first.
     try:
-        check_unitary(stacked_entries(rotations))
+        check_stages(records)
+        check_unitary(records["entries"])
         check_normalized(reduced, "reduced state")
     except ValueError as exc:
         print(f"verification FAILED: {exc}")
         return EXIT_VERIFY_FAILED
-    reconstructed = invert_rotations(reduced, n1, l1, rotations)
+    reconstructed = invert_rotations(reduced, n1, l1, records)
     # Not np.linalg.norm: slow on large complex vectors under threaded BLAS.
     deviation = math.sqrt(np.sum(np.abs(reconstructed - original.amplitudes) ** 2))
     print(f"round-trip 2-norm error: {deviation:.6e}")

@@ -8,6 +8,7 @@ whose amplitudes are [real, imag] pairs; a larger one as
 little-endian complex128 values. Traces are written as
 ``qudit-trace/2``, whose rotations are base64 strings of TRACE_RECORD
 records; ``qudit-trace/1`` (one object per rotation) is still read.
+Either loads as the one TRACE_RECORD array that ``reduce`` records.
 Floats in JSON go through Python's shortest-round-trip decimal repr, so
 any finite double written by this tool reloads bit-exactly; a number too
 large for a double, or a non-finite amplitude in either state format, is
@@ -26,8 +27,7 @@ import json
 
 import numpy as np
 
-from .reduction import (DecompositionTrace, LocalRotation, ReductionReport,
-                        stacked_entries)
+from .reduction import TRACE_RECORD, DecompositionTrace, ReductionReport
 from .state import NORM_ATOL, PureState, check_plane, check_shape
 
 STATE_FORMAT = "qudit-state/1"
@@ -36,13 +36,9 @@ TRACE_FORMAT = "qudit-trace/1"
 TRACE_FORMAT_BASE64 = "qudit-trace/2"
 REPORT_FORMAT = "qudit-report/1"
 
-#: Integer fields of each trace rotation, in LocalRotation order.
+#: Integer fields of each TRACE_FORMAT rotation, in TRACE_RECORD order.
 _ROTATION_INTS = ("stage", "site", "level_a", "level_b")
 _NUMBER = (int, float)
-
-#: One TRACE_FORMAT_BASE64 rotation: stage, site, level_a, level_b, then
-#: the row-major 2x2 unitary, all little-endian (80 bytes).
-TRACE_RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
 
 #: States with more amplitudes than this are written as STATE_FORMAT_BASE64.
 PAIRS_MAX_AMPLITUDES = 4096
@@ -195,16 +191,11 @@ def save_state(path, state: PureState, *, seed: int | None = None) -> None:
 
 
 def save_trace(path, trace: DecompositionTrace) -> None:
-    """Write ``trace`` as TRACE_FORMAT_BASE64: its rotations as one
-    base64 string of TRACE_RECORD records, or [] when there are none."""
-    final, rotations = trace.final_state, trace.rotations
-    chunks = []
-    if rotations:
-        records = np.empty(len(rotations), TRACE_RECORD)
-        records["plane"] = [(r.stage, r.site, r.level_a, r.level_b)
-                            for r in rotations]
-        records["entries"] = stacked_entries(rotations)
-        chunks.append(base64.b64encode(records).decode("ascii"))
+    """Write ``trace`` as TRACE_FORMAT_BASE64: its TRACE_RECORD array as
+    one base64 string, or [] when there are no rotations."""
+    final = trace.final_state
+    records = np.ascontiguousarray(trace.rotations, TRACE_RECORD)
+    chunks = [base64.b64encode(records).decode("ascii")] if records.size else []
     _dump(path, {
         "format": TRACE_FORMAT_BASE64,
         "n": final.n,
@@ -214,9 +205,8 @@ def save_trace(path, trace: DecompositionTrace) -> None:
     })
 
 
-def _parse_rotations_pairs(raw, n: int, l: int):
-    """The int fields, one list per rotation, and the (R, 2, 2) complex
-    entries of TRACE_FORMAT rotation objects."""
+def _parse_rotations_pairs(raw, n: int, l: int) -> np.ndarray:
+    """The TRACE_RECORD array of TRACE_FORMAT rotation objects."""
     fields, pairs = [], []
     for i, r in enumerate(raw):
         try:
@@ -224,6 +214,10 @@ def _parse_rotations_pairs(raw, n: int, l: int):
             (e00, e01), (e10, e11) = r["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
+        # check_plane bounds the other fields by n and l.
+        if not -2**31 <= fields[-1][0] < 2**31:
+            raise ValueError(f"rotations[{i}] is malformed: stage "
+                             f"{fields[-1][0]} does not fit a 32-bit integer")
         if not (_is_pair(e00) and _is_pair(e01)
                 and _is_pair(e10) and _is_pair(e11)):
             raise ValueError(f"rotations[{i}] is malformed: entries must be "
@@ -232,12 +226,15 @@ def _parse_rotations_pairs(raw, n: int, l: int):
     # Object dtype keeps every JSON integer exact, however large.
     planes = np.array(fields, dtype=object).reshape(-1, 4)
     check_plane(n, l, *planes[:, 1:].T, what="rotations")
-    return fields, _complex(pairs).reshape(-1, 2, 2)
+    records = np.empty(len(fields), TRACE_RECORD)
+    records["plane"] = planes
+    records["entries"] = _complex(pairs).reshape(-1, 2, 2)
+    return records
 
 
-def _parse_rotations_base64(raw, n: int, l: int):
-    """The int fields, one list per rotation, and the (R, 2, 2) complex
-    entries of TRACE_FORMAT_BASE64 strings of records."""
+def _parse_rotations_base64(raw, n: int, l: int) -> np.ndarray:
+    """The TRACE_RECORD array of TRACE_FORMAT_BASE64 strings of records,
+    concatenated into one writable array."""
     chunks = []
     for i, chunk in enumerate(raw):
         _require(type(chunk) is str, f"rotations[{i}] must be a base64 string")
@@ -252,13 +249,13 @@ def _parse_rotations_base64(raw, n: int, l: int):
         check_plane(n, l, *records["plane"][:, 1:].T,
                     what=f"rotations[{i}], record")
         chunks.append(records)
-    records = np.concatenate(chunks) if chunks else np.empty(0, TRACE_RECORD)
-    return records["plane"].tolist(), records["entries"].astype(np.complex128)
+    return np.concatenate(chunks) if chunks else np.empty(0, TRACE_RECORD)
 
 
 def load_trace(path):
-    """Read either trace format. Returns (n, l, original_norm, rotations),
-    each rotation's entries a 2x2 view into one writable (R, 2, 2) array."""
+    """Read either trace format. Returns (n, l, original_norm, records),
+    ``records`` one writable TRACE_RECORD array holding the file's
+    rotations in order."""
     def parse(doc):
         n, l = doc["n"], doc["l"]
         original_norm = doc.get("original_norm", 1.0)
@@ -269,10 +266,7 @@ def load_trace(path):
         parse_rotations = (_parse_rotations_base64
                            if doc["format"] == TRACE_FORMAT_BASE64
                            else _parse_rotations_pairs)
-        fields, entries = parse_rotations(raw, n, l)
-        rotations = [LocalRotation(*f, entries=e)
-                     for f, e in zip(fields, entries)]
-        return n, l, float(original_norm), rotations
+        return n, l, float(original_norm), parse_rotations(raw, n, l)
     return _read_doc(path, (TRACE_FORMAT, TRACE_FORMAT_BASE64), parse)
 
 

@@ -51,17 +51,10 @@ PRESERVATION_FACTOR = 10.0
 #: took a median 1.78 s against 1.37 s in place on the same host.
 BOX_MIN_ROW = 1024
 
-
-@dataclass
-class LocalRotation:
-    """One recorded elimination step: a 2x2 unitary mixing levels
-    (level_a, level_b) = (stage, target digit) at ``site``."""
-
-    stage: int
-    site: int
-    level_a: int
-    level_b: int
-    entries: np.ndarray
+#: One recorded step, in memory and in qudit-trace/2 files: the plane
+#: (stage, site, level_a, level_b), a stage-k step mixing levels (k, target
+#: digit), then its row-major 2x2 unitary, all little-endian (80 bytes).
+TRACE_RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
 
 
 @dataclass
@@ -105,17 +98,18 @@ class ReductionReport:
 
 @dataclass
 class DecompositionTrace:
-    """Recorded rotations plus the state they produced. Applying the
-    conjugate transposes to final_state in reverse order reproduces the
-    original input."""
+    """Recorded rotations, one TRACE_RECORD array in the order applied,
+    plus the state they produced. Applying the conjugate transposes to
+    final_state in reverse order reproduces the original input."""
 
     original_norm: float
-    rotations: list[LocalRotation]
+    rotations: np.ndarray
     final_state: PureState
 
 
-def zeroing_rotation(anchor_amp, target_amp) -> np.ndarray:
-    """2x2 unitary R with R @ (anchor, target)^T = (r, 0)^T, r >= 0 real.
+def zeroing_rotation(anchor_amp, target_amp) -> tuple[complex, ...]:
+    """Entries (m00, m01, m10, m11), row-major, of the 2x2 unitary R with
+    R @ (anchor, target)^T = (r, 0)^T, r >= 0 real.
 
     r is the Euclidean length of the input pair, so the rotation moves
     the target's squared magnitude onto the anchor. Total function:
@@ -125,12 +119,20 @@ def zeroing_rotation(anchor_amp, target_amp) -> np.ndarray:
     y = complex(target_amp)
     r = math.hypot(abs(x), abs(y))
     if r < 1e-300:
-        return np.eye(2, dtype=np.complex128)
-    return np.array(
-        [[x.conjugate() / r, y.conjugate() / r],
-         [-y / r, x / r]],
-        dtype=np.complex128,
-    )
+        return 1 + 0j, 0j, 0j, 1 + 0j
+    return x.conjugate() / r, y.conjugate() / r, -y / r, x / r
+
+
+def check_stages(records) -> None:
+    """Require stage == level_a in every record: a stage-k rotation mixes
+    level k with a higher one. Stages need not ascend."""
+    plane = records["plane"]
+    bad = np.flatnonzero(plane[:, 0] != plane[:, 2])
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{bad.size} of {len(records)} rotations break the stage grammar; "
+            f"rotations[{i}] has stage {plane[i, 0]} but level_a {plane[i, 2]}")
 
 
 def term_bound(n: int, l: int) -> int:
@@ -160,7 +162,8 @@ def stage_targets(n: int, l: int, k: int) -> np.ndarray:
 
 
 def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
-                    rotations: list[LocalRotation], strategy: str = "greedy",
+                    planes: list[int], entries: list[complex],
+                    strategy: str = "greedy",
                     epsilon: float = DEFAULT_EPSILON,
                     max_iters: int = DEFAULT_MAX_ITERS) -> StageReport:
     """Drive every stage-k target of an n-level, l-site state below epsilon.
@@ -176,10 +179,12 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
     terminates for any epsilon > 0 in exact arithmetic; max_iters, an
     int >= 1, is the practical stop.
 
-    Mixes ``work`` in place, appends each rotation to ``rotations`` and
-    returns the StageReport, whose ``converged`` is False when max_iters
-    was exhausted first. The rotations' stage and levels, and the
-    report's stage, are those of the whole state on either vector.
+    Mixes ``work`` in place, extends the flat lists ``planes`` and
+    ``entries`` by each rotation's (stage, site, level_a, level_b) and
+    its four zeroing_rotation entries, and returns the StageReport, whose
+    ``converged`` is False when max_iters was exhausted first. The
+    planes' stage and levels, and the report's stage, are those of the
+    whole state on either vector.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -207,7 +212,7 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
         mags = np.abs(work[flats])
         # argmax returns the first maximum; targets are in ascending flat
         # order, which implements the greedy smallest-flat tie-break.
-        j = int(np.argmax(mags))
+        j = int(mags.argmax())
         residual = float(mags[j])
         converged = residual < epsilon
         if converged or len(pivot_history) >= max_iters:
@@ -216,17 +221,15 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
             live = np.flatnonzero(mags >= epsilon)
             j = int(live[np.searchsorted(live, cursor) % live.size])
             cursor = j + 1
-        # Python ints: save_trace's json.dumps rejects numpy integers.
         site, digit = divmod(j, n - 1 - k)
         digit += k + 1
         flat = int(flats[j])
         rot = zeroing_rotation(work[anchor], work[flat])
         pivot_history.append(float(abs(work[flat])))
-        rotate_pair_inplace(work, n, l, site, k, digit, rot)
+        rotate_pair_inplace(work, n, l, site, k, digit, *rot)
         anchor_history.append(float(abs(work[anchor])))
-        rotations.append(LocalRotation(
-            stage=k + offset, site=site, level_a=k + offset,
-            level_b=digit + offset, entries=rot))
+        planes += (k + offset, site, k + offset, digit + offset)
+        entries += rot
 
     return StageReport(
         stage=k + offset, iterations=len(pivot_history), residual=residual,
@@ -274,7 +277,8 @@ def reduce(state: PureState, strategy: str = "greedy",
         bound=term_bound(n, l),
     )
     work = state.amplitudes.copy()
-    rotations: list[LocalRotation] = []
+    planes: list[int] = []  # four values per rotation, as in TRACE_RECORD
+    entries: list[complex] = []
     boxed = n ** (l - 1) >= BOX_MIN_ROW
 
     box = work
@@ -282,11 +286,14 @@ def reduce(state: PureState, strategy: str = "greedy",
         if boxed and k:
             # A contiguous copy of the digits >= 1 of stage k-1's box.
             box = box.reshape((n - k + 1,) * l)[(slice(1, None),) * l].flatten()
-        stage = eliminate_stage(box, n, l, k, rotations, strategy, epsilon,
-                                max_iters_per_stage)
+        stage = eliminate_stage(box, n, l, k, planes, entries, strategy,
+                                epsilon, max_iters_per_stage)
         report.stages.append(stage)
         if not stage.converged:
             break
+    rotations = np.empty(len(planes) // 4, TRACE_RECORD)
+    rotations["plane"] = np.reshape(planes, (-1, 4))
+    rotations["entries"] = np.reshape(entries, (-1, 2, 2))
     if boxed:
         later = rotations[report.stages[0].iterations:]
         work = apply_site_unitaries(work, n, l, fold_rotations(later, n))
@@ -320,14 +327,8 @@ def reduce(state: PureState, strategy: str = "greedy",
     return trace, report
 
 
-def stacked_entries(rotations) -> np.ndarray:
-    """The rotations' entries as one complex (R, 2, 2) array, R >= 0."""
-    return np.array([r.entries for r in rotations],
-                    dtype=np.complex128).reshape(-1, 2, 2)
-
-
-def fold_rotations(rotations, n: int) -> dict[int, list[list[complex]]]:
-    """Fold a rotation sequence into one n x n unitary per touched site.
+def fold_rotations(records, n: int) -> dict[int, list[list[complex]]]:
+    """Fold a TRACE_RECORD array into one n x n unitary per touched site.
 
     Every rotation acts on one site, so the whole sequence is a tensor
     product of per-site unitaries U = R_T ... R_1, the product of that
@@ -338,14 +339,14 @@ def fold_rotations(rotations, n: int) -> dict[int, list[list[complex]]]:
     # Python complex throughout: per-rotation numpy calls on n-vectors
     # cost more than the arithmetic.
     unitaries: dict[int, list[list[complex]]] = {}
-    for rot in rotations:
-        (m00, m01), (m10, m11) = rot.entries.tolist()
-        rows = unitaries.get(rot.site)
+    for (_, site, level_a, level_b), (m00, m01, m10, m11) in zip(
+            records["plane"].tolist(), records["entries"].reshape(-1, 4).tolist()):
+        rows = unitaries.get(site)
         if rows is None:
-            rows = unitaries[rot.site] = np.eye(n, dtype=np.complex128).tolist()
-        a, b = rows[rot.level_a], rows[rot.level_b]
-        rows[rot.level_a] = [m00 * x + m01 * y for x, y in zip(a, b)]
-        rows[rot.level_b] = [m10 * x + m11 * y for x, y in zip(a, b)]
+            rows = unitaries[site] = np.eye(n, dtype=np.complex128).tolist()
+        a, b = rows[level_a], rows[level_b]
+        rows[level_a] = [m00 * x + m01 * y for x, y in zip(a, b)]
+        rows[level_b] = [m10 * x + m11 * y for x, y in zip(a, b)]
     return unitaries
 
 
@@ -366,8 +367,9 @@ def apply_site_unitaries(amplitudes: np.ndarray, n: int, l: int,
 
 
 def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
-                     rotations) -> np.ndarray:
-    """Undo ``rotations`` on a raw amplitude vector; returns a new vector.
+                     records) -> np.ndarray:
+    """Undo the TRACE_RECORD array ``records`` on a raw amplitude vector;
+    returns a new vector.
 
     Each site's folded unitary U = R_T ... R_1 is undone by its conjugate
     transpose U^dagger = R_1^dagger ... R_T^dagger, which is the conjugate
@@ -375,7 +377,7 @@ def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
     """
     work = np.array(amplitudes, dtype=np.complex128)
     adjoints = {site: np.array(rows).conj().T
-                for site, rows in fold_rotations(rotations, n).items()}
+                for site, rows in fold_rotations(records, n).items()}
     return apply_site_unitaries(work, n, l, adjoints)
 
 

@@ -162,8 +162,10 @@ def site_view(amps: np.ndarray, n: int, l: int, site: int) -> np.ndarray:
 
 
 def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
-                        level_a: int, level_b: int, rot: np.ndarray) -> None:
-    """Mix rows level_a and level_b of ``site_view`` by ``rot``, in place.
+                        level_a: int, level_b: int,
+                        m00, m01, m10, m11) -> None:
+    """Mix rows level_a and level_b of ``site_view`` by the 2x2 matrix
+    [[m00, m01], [m10, m11]], in place.
 
     Kernel of apply_plane_rotation and of the elimination loop; trace
     inversion folds rotations into one unitary per site instead of
@@ -171,9 +173,10 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
     must be a contiguous length n**l complex vector.
     """
     v = site_view(amps, n, l, site)
+    # Both rows copied: a strided row in the products costs more.
     va, vb = v[:, level_a].copy(), v[:, level_b].copy()
-    v[:, level_a] = rot[0, 0] * va + rot[0, 1] * vb
-    v[:, level_b] = rot[1, 0] * va + rot[1, 1] * vb
+    v[:, level_a] = m00 * va + m01 * vb
+    v[:, level_b] = m10 * va + m11 * vb
 
 
 def apply_plane_rotation(state: PureState, site: int, level_a: int,
@@ -194,7 +197,8 @@ def apply_plane_rotation(state: PureState, site: int, level_a: int,
         raise ValueError(f"rotation must be 2x2, got shape {rot.shape}")
     check_unitary(rot[None])
     work = state.amplitudes.copy()
-    rotate_pair_inplace(work, state.n, state.l, site, level_a, level_b, rot)
+    rotate_pair_inplace(work, state.n, state.l, site, level_a, level_b,
+                        *rot.ravel().tolist())
     return PureState(state.n, state.l, work)
 
 

@@ -5,18 +5,34 @@ import pytest
 
 from quditreduce.fileio import TRACE_FORMAT
 
+#: The trace record, spelled out so that the tests pin its layout.
+RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
+
+
+def make_records(planes, entries=None):
+    """Records of ``planes`` (stage, site, level_a, level_b), each with
+    the identity as its entries unless ``entries`` is given: one 2x2 for
+    every plane, or one per plane, each a 2x2 or its four row-major
+    values."""
+    records = np.zeros(len(planes), RECORD)
+    records["plane"] = np.reshape(planes, (-1, 4))
+    records["entries"] = np.eye(2) if entries is None else \
+        np.reshape(entries, (-1, 2, 2))
+    return records
+
 
 def _save_trace_v1(path, trace):
     """Write ``trace`` as a qudit-trace/1 document: one object per
     rotation, its entries as [re, im] pairs. save_trace writes /2 only,
     so this is the fixture for tests that edit a /1 rotation."""
-    final = trace.final_state
+    final, records = trace.final_state, trace.rotations
+    entries = np.ascontiguousarray(records["entries"], dtype=complex)
     rotations = [
-        {"stage": r.stage, "site": r.site, "level_a": r.level_a,
-         "level_b": r.level_b,
-         "entries": np.ascontiguousarray(r.entries, dtype=complex)
-                      .view(float).reshape(2, 2, 2).tolist()}
-        for r in trace.rotations
+        {"stage": stage, "site": site, "level_a": level_a, "level_b": level_b,
+         "entries": pairs}
+        for (stage, site, level_a, level_b), pairs in zip(
+            records["plane"].tolist(),
+            entries.view(float).reshape(-1, 2, 2, 2).tolist())
     ]
     path.write_text(json.dumps({
         "format": TRACE_FORMAT, "n": final.n, "l": final.l,

@@ -15,7 +15,9 @@ from quditreduce.cli import main
 from quditreduce.errors import InternalConsistencyError, OracleFailureError
 from quditreduce.fileio import (STATE_FORMAT, STATE_FORMAT_BASE64, load_state,
                                 load_trace, save_state, save_trace)
-from quditreduce.reduction import DecompositionTrace, LocalRotation
+from quditreduce.reduction import DecompositionTrace
+
+from conftest import make_records
 
 RT2 = np.sqrt(2.0)
 
@@ -420,7 +422,7 @@ class TestVerify:
         original = tmp_path / "o.json"
         save_state(original, state)
         trace_path = tmp_path / "t.json"
-        save_trace(trace_path, DecompositionTrace(1.0, [], state))
+        save_trace(trace_path, DecompositionTrace(1.0, make_records([]), state))
         code = main(["verify", "--original", str(original), "--trace",
                      str(trace_path), "--reduced", str(original)])
         assert code == 0
@@ -433,14 +435,83 @@ class TestVerify:
         state = product_state([[0, 1], [0.6, 0.8]])
         path = tmp_path / "s.json"
         save_state(path, state)
-        bad = LocalRotation(stage=0, site=0, level_a=0, level_b=1,
-                            entries=np.diag(diagonal).astype(complex))
+        bad = make_records([(0, 0, 0, 1)], np.diag(diagonal).astype(complex))
         trace_path = tmp_path / "t.json"
-        save_trace(trace_path, DecompositionTrace(1.0, [bad], state))
+        save_trace(trace_path, DecompositionTrace(1.0, bad, state))
         code = main(["verify", "--original", str(path), "--trace",
                      str(trace_path), "--reduced", str(path)])
         assert code == 3
         assert "rotations[0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("v1", [False, True])
+    def test_every_stage_off_level_a_fails(self, tmp_path, capsys, v1,
+                                           save_trace_v1):
+        # Stage -7 on every record of a (3,2) trace: the planes, entries
+        # and round trip are those of the reduction, so only the stage
+        # grammar catches it, in either trace format.
+        original, trace, reduced = self._reduce(tmp_path)
+        _, _, norm, records = load_trace(trace)
+        assert len(records) > 1
+        records["plane"][:, 0] = -7
+        edited = DecompositionTrace(norm, records, load_state(reduced)[0])
+        (save_trace_v1 if v1 else save_trace)(trace, edited)
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert f"{len(records)} of {len(records)} rotations" in out
+        assert "rotations[0] has stage -7 but level_a 0" in out
+
+    def test_first_stage_off_level_a_is_named(self, tmp_path, capsys):
+        # One bad record among good ones, past the first: its stage is a
+        # level of the plane, but not level_a.
+        original, trace, reduced = self._reduce(tmp_path, n=4, l=2)
+        _, _, norm, records = load_trace(trace)
+        i = len(records) // 2
+        records["plane"][i, 0] = records["plane"][i, 3]
+        save_trace(trace, DecompositionTrace(norm, records,
+                                             load_state(reduced)[0]))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 3
+        assert f"1 of {len(records)} rotations break the stage grammar; " \
+               f"rotations[{i}]" in capsys.readouterr().out
+
+    def test_descending_stages_pass(self, tmp_path):
+        # The grammar asks stage == level_a of each record alone: a stage-1
+        # rotation may come before a stage-0 one.
+        state = random_state(3, 2, seed=4)
+        planes = [(1, 0, 1, 2), (0, 1, 0, 2)]
+        unitaries = [np.linalg.qr(np.array([[1, 2j], [3, 4]]))[0],
+                     np.linalg.qr(np.array([[2, 1], [1j, 3]]))[0]]
+        reduced = state
+        for (_, site, a, b), unitary in zip(planes, unitaries):
+            reduced = quditreduce.apply_plane_rotation(reduced, site, a, b,
+                                                       unitary)
+        original, reduced_path = tmp_path / "o.json", tmp_path / "r.json"
+        trace_path = tmp_path / "t.json"
+        save_state(original, state)
+        save_state(reduced_path, reduced)
+        save_trace(trace_path, DecompositionTrace(
+            1.0, make_records(planes, unitaries), reduced))
+        assert main(["verify", "--original", str(original), "--trace",
+                     str(trace_path), "--reduced", str(reduced_path)]) == 0
+
+    @pytest.mark.parametrize("stage", [2**63, -2**31 - 1])
+    def test_stage_outside_int32_exits_1(self, tmp_path, capsys, stage,
+                                         save_trace_v1):
+        original, trace, reduced = self._reduce(tmp_path)
+        _, _, norm, records = load_trace(trace)
+        save_trace_v1(trace, DecompositionTrace(norm, records,
+                                                load_state(reduced)[0]))
+        doc = json.loads(trace.read_text())
+        doc["rotations"][0]["stage"] = stage
+        trace.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 1
+        assert f"{trace}: rotations[0] is malformed: stage {stage}" in \
+            capsys.readouterr().err
 
     def test_unnormalized_reduced_fails(self, tmp_path, capsys):
         # Scaled by 1 + 5e-10: every amplitude moves by less than the

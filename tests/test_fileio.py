@@ -7,9 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quditreduce import fileio
+from quditreduce import fileio, reduction
 from quditreduce.cli import main
-from quditreduce.reduction import LocalRotation, stacked_entries
 
 from quditreduce import (
     CapacityError,
@@ -34,6 +33,8 @@ from quditreduce.fileio import (
     save_state,
     save_trace,
 )
+
+from conftest import RECORD, make_records
 
 REPORT_FIELDS = {
     "format", "tool_version", "input_digest", "strategy", "epsilon",
@@ -388,10 +389,8 @@ class TestTraceFiles:
         assert (n, l) == (3, 2)
         assert original_norm == trace.original_norm
         assert len(rotations) == len(trace.rotations)
-        for got, want in zip(rotations, trace.rotations):
-            assert (got.stage, got.site, got.level_a, got.level_b) == \
-                (want.stage, want.site, want.level_a, want.level_b)
-            assert np.array_equal(got.entries, want.entries)
+        assert rotations["plane"].tolist() == trace.rotations["plane"].tolist()
+        assert np.array_equal(rotations["entries"], trace.rotations["entries"])
 
     def test_rejects_out_of_range_rotation(self, tmp_path, save_trace_v1):
         s = random_state(2, 2, seed=1)
@@ -417,6 +416,31 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=rf"out-of-range plane in "
                                              rf"rotations\[1\]: site {site},"):
             load_trace(path)
+
+    @pytest.mark.parametrize("stage", [2**63, 2**31, -2**31 - 1])
+    def test_rejects_stage_outside_int32(self, tmp_path, stage, save_trace_v1):
+        # A record holds the stage as <i4: a /1 stage past it is refused
+        # before any record is packed.
+        trace, _ = reduce(random_state(2, 2, seed=1))
+        path = tmp_path / "t.json"
+        save_trace_v1(path, trace)
+        doc = json.loads(path.read_text())
+        doc["rotations"][1]["stage"] = stage
+        write_doc(path, doc)
+        with pytest.raises(ValueError, match=rf"rotations\[1\] is malformed: "
+                                             rf"stage {stage} does not fit"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("stage", [2**31 - 1, -2**31])
+    def test_loads_any_int32_stage(self, tmp_path, stage, save_trace_v1):
+        # The file format bounds a stage by <i4 alone; verify judges it.
+        trace, _ = reduce(random_state(2, 2, seed=1))
+        path = tmp_path / "t.json"
+        save_trace_v1(path, trace)
+        doc = json.loads(path.read_text())
+        doc["rotations"][1]["stage"] = stage
+        write_doc(path, doc)
+        assert load_trace(path)[3]["plane"][1, 0] == stage
 
     def test_rejects_malformed_entries(self, tmp_path, save_trace_v1):
         s = random_state(2, 2, seed=1)
@@ -454,25 +478,13 @@ class TestTraceFiles:
     @pytest.mark.parametrize("value", [[1], "1", True, None])
     def test_rejects_non_numeric_original_norm(self, tmp_path, value):
         path = tmp_path / "t.json"
-        save_trace(path, DecompositionTrace(1.0, [], random_state(2, 2, seed=1)))
+        save_trace(path, DecompositionTrace(1.0, make_records([]),
+                                            random_state(2, 2, seed=1)))
         doc = json.loads(path.read_text())
         doc["original_norm"] = value
         write_doc(path, doc)
         with pytest.raises(ValueError, match="original_norm"):
             load_trace(path)
-
-
-#: The qudit-trace/2 record, spelled out so that the tests pin the layout.
-RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
-
-
-def trace_records(planes, entries=None):
-    """Records of ``planes`` (stage, site, level_a, level_b), each with
-    the identity as its entries unless ``entries`` is given."""
-    records = np.zeros(len(planes), RECORD)
-    records["plane"] = np.reshape(planes, (-1, 4))
-    records["entries"] = np.eye(2) if entries is None else entries
-    return records
 
 
 def base64_trace_doc(n, l, *chunks, original_norm=1.0):
@@ -483,13 +495,14 @@ def base64_trace_doc(n, l, *chunks, original_norm=1.0):
                           for c in chunks]}
 
 
-def fields_and_entries(rotations):
-    return ([(r.stage, r.site, r.level_a, r.level_b) for r in rotations],
-            stacked_entries(rotations))
+def fields_and_entries(records):
+    return ([tuple(plane) for plane in records["plane"].tolist()],
+            records["entries"])
 
 
 class TestBase64Traces:
     def test_record_layout(self):
+        assert fileio.TRACE_RECORD is reduction.TRACE_RECORD
         assert fileio.TRACE_RECORD == RECORD
         assert RECORD.itemsize == 80
 
@@ -501,13 +514,14 @@ class TestBase64Traces:
         # Arbitrary in-range planes and arbitrary complex entries (not
         # unitary: the file format does not judge them).
         rng = np.random.default_rng(seed)
-        rotations = []
+        planes, entries = [], []
         for _ in range(count):
             b = int(rng.integers(1, n))
-            rotations.append(LocalRotation(
-                stage=int(rng.integers(0, n - 1)), site=int(rng.integers(0, l)),
-                level_a=int(rng.integers(0, b)), level_b=b,
-                entries=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+            planes.append((int(rng.integers(0, n - 1)), int(rng.integers(0, l)),
+                           int(rng.integers(0, b)), b))
+            entries.append(rng.standard_normal((2, 2))
+                           + 1j * rng.standard_normal((2, 2)))
+        rotations = make_records(planes, entries)
         trace = DecompositionTrace(float(rng.uniform(0.5, 2)), rotations,
                                    random_state(n, l, seed=seed))
         path = tmp_path / "t.json"
@@ -526,10 +540,20 @@ class TestBase64Traces:
         path = tmp_path / "t.json"
         save_trace(path, trace)
         rotations = load_trace(path)[3]
-        base = rotations[0].entries.base
-        assert base.shape == (len(rotations), 2, 2)
-        assert base.dtype == np.complex128 and base.flags.writeable
-        assert all(r.entries.base is base for r in rotations)
+        entries = rotations["entries"]
+        assert entries.shape == (len(rotations), 2, 2)
+        assert entries.dtype == np.complex128 and rotations.flags.writeable
+        assert np.shares_memory(entries, rotations)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
+    @pytest.mark.parametrize("n, l", [(2, 4), (3, 3), (8, 2)])
+    def test_round_trip_is_byte_equal(self, tmp_path, strategy, n, l):
+        trace, _ = reduce(random_state(n, l, seed=6), strategy=strategy)
+        path = tmp_path / "t.json"
+        save_trace(path, trace)
+        got = load_trace(path)[3]
+        assert got.dtype == trace.rotations.dtype == RECORD
+        assert got.tobytes() == trace.rotations.tobytes()
 
     def test_both_formats_load_identically(self, tmp_path, save_trace_v1):
         trace, _ = reduce(random_state(3, 3, seed=8))
@@ -539,6 +563,8 @@ class TestBase64Traces:
         n1, l1, norm1, rot1 = load_trace(v1)
         n2, l2, norm2, rot2 = load_trace(v2)
         assert (n1, l1, norm1) == (n2, l2, norm2)
+        assert rot1.dtype == rot2.dtype == RECORD
+        assert rot1.tobytes() == rot2.tobytes() == trace.rotations.tobytes()
         fields1, entries1 = fields_and_entries(rot1)
         fields2, entries2 = fields_and_entries(rot2)
         assert fields1 == fields2
@@ -546,10 +572,13 @@ class TestBase64Traces:
 
     def test_empty_trace_is_an_empty_list(self, tmp_path):
         path = tmp_path / "t.json"
-        save_trace(path, DecompositionTrace(1.0, [], random_state(2, 2, seed=1)))
+        save_trace(path, DecompositionTrace(1.0, make_records([]),
+                                            random_state(2, 2, seed=1)))
         doc = json.loads(path.read_text())
         assert (doc["format"], doc["rotations"]) == (TRACE_FORMAT_BASE64, [])
-        assert load_trace(path) == (2, 2, 1.0, [])
+        n, l, original_norm, rotations = load_trace(path)
+        assert (n, l, original_norm) == (2, 2, 1.0)
+        assert rotations.dtype == RECORD and len(rotations) == 0
 
     def test_emptied_rotations_load_as_empty_trace(self, tmp_path):
         trace, _ = reduce(random_state(2, 3, seed=2))
@@ -559,13 +588,14 @@ class TestBase64Traces:
         assert len(doc["rotations"]) == 1
         doc["rotations"] = []
         write_doc(path, doc)
-        assert load_trace(path)[3] == []
+        rotations = load_trace(path)[3]
+        assert rotations.dtype == RECORD and len(rotations) == 0
 
     def test_several_chunks_concatenate(self, tmp_path):
         path = tmp_path / "t.json"
-        write_doc(path, base64_trace_doc(3, 2, trace_records([(0, 0, 0, 1)]),
-                                         trace_records([]),
-                                         trace_records([(1, 1, 1, 2)] * 2)))
+        write_doc(path, base64_trace_doc(3, 2, make_records([(0, 0, 0, 1)]),
+                                         make_records([]),
+                                         make_records([(1, 1, 1, 2)] * 2)))
         fields, _ = fields_and_entries(load_trace(path)[3])
         assert fields == [(0, 0, 0, 1), (1, 1, 1, 2), (1, 1, 1, 2)]
 
@@ -576,25 +606,25 @@ class TestBase64Traces:
         assert str(info.value).count(str(path)) == 1
 
     def test_rejects_non_list_rotations(self, tmp_path):
-        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc = base64_trace_doc(2, 1, make_records([(0, 0, 0, 1)]))
         doc["rotations"] = doc["rotations"][0]
         self.rejects(tmp_path / "t.json", doc, "'rotations' must be a list")
 
     def test_rejects_non_string_item(self, tmp_path):
-        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc = base64_trace_doc(2, 1, make_records([(0, 0, 0, 1)]))
         doc["rotations"].append({"stage": 0})
         self.rejects(tmp_path / "t.json", doc,
                      r"rotations\[1\] must be a base64 string")
 
     @pytest.mark.parametrize("char", ["!", "é", " ", "\n"])
     def test_rejects_non_alphabet_character(self, tmp_path, char):
-        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc = base64_trace_doc(2, 1, make_records([(0, 0, 0, 1)]))
         doc["rotations"][0] = char + doc["rotations"][0]
         self.rejects(tmp_path / "t.json", doc,
                      r"rotations\[0\] is not valid base64")
 
     def test_rejects_bad_padding(self, tmp_path):
-        doc = base64_trace_doc(2, 1, trace_records([(0, 0, 0, 1)]))
+        doc = base64_trace_doc(2, 1, make_records([(0, 0, 0, 1)]))
         assert doc["rotations"][0].endswith("=")
         doc["rotations"][0] = doc["rotations"][0][:-1]
         self.rejects(tmp_path / "t.json", doc,
@@ -603,7 +633,7 @@ class TestBase64Traces:
     @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + bytes(1),
                                       lambda b: b[:-4 * 3]])
     def test_rejects_partial_record(self, tmp_path, edit):
-        blob = trace_records([(0, 0, 0, 1)] * 2).tobytes()
+        blob = make_records([(0, 0, 0, 1)] * 2).tobytes()
         doc = base64_trace_doc(2, 1)
         doc["rotations"] = [base64.b64encode(edit(blob)).decode("ascii")]
         self.rejects(tmp_path / "t.json", doc, "not a whole number of 80-byte")
@@ -619,8 +649,8 @@ class TestBase64Traces:
     def test_rejects_out_of_range_plane(self, tmp_path, plane):
         # The bad record follows a good one: the error names record 1 of
         # the second string.
-        good = trace_records([(0, 0, 0, 1)])
-        doc = base64_trace_doc(3, 2, good, trace_records([(0, 1, 1, 2), plane]))
+        good = make_records([(0, 0, 0, 1)])
+        doc = base64_trace_doc(3, 2, good, make_records([(0, 1, 1, 2), plane]))
         self.rejects(tmp_path / "t.json", doc,
                      r"out-of-range plane in rotations\[1\], record\[1\]")
 
@@ -636,10 +666,10 @@ class TestBase64Traces:
         original, path = tmp_path / "s.json", tmp_path / "t.json"
         save_state(original, state)
         entries = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-        write_doc(path, base64_trace_doc(2, 2, trace_records([(0, 0, 0, 1)],
+        write_doc(path, base64_trace_doc(2, 2, make_records([(0, 0, 0, 1)],
                                                              entries)))
         rotations = load_trace(path)[3]
-        assert np.isnan(rotations[0].entries[0, 0])
+        assert np.isnan(rotations["entries"][0, 0, 0])
         code = main(["verify", "--original", str(original), "--trace",
                      str(path), "--reduced", str(original)])
         assert code == 3

@@ -24,12 +24,13 @@ from quditreduce import (
 )
 from quditreduce.reduction import (
     DecompositionTrace,
-    LocalRotation,
     apply_site_unitaries,
     eliminate_stage,
     fold_rotations,
     invert_rotations,
 )
+
+from conftest import RECORD, make_records
 
 RT2 = np.sqrt(2.0)
 
@@ -62,18 +63,30 @@ def target_plane(flat, n, l, k):
     return site, digits[site]
 
 
+def eliminate(work, n, l, k, *args, **kwargs):
+    """Stage k on ``work``, in place: (its rotations as records, report)."""
+    planes, entries = [], []
+    report = eliminate_stage(work, n, l, k, planes, entries, *args, **kwargs)
+    return make_records(np.reshape(planes, (-1, 4)), entries), report
+
+
 def run_stage(state, k, *args, **kwargs):
     """Stage k on a copy of ``state``: (stage output, rotations, report)."""
-    work, rotations = state.amplitudes.copy(), []
-    report = eliminate_stage(work, state.n, state.l, k, rotations, *args,
-                             **kwargs)
+    work = state.amplitudes.copy()
+    rotations, report = eliminate(work, state.n, state.l, k, *args, **kwargs)
     return PureState(state.n, state.l, work), rotations, report
 
 
-def rotation_fields(rotations):
+def rotation_fields(records):
     """Every recorded field of each rotation, entries as raw bytes."""
-    return [(r.stage, r.site, r.level_a, r.level_b, r.entries.tobytes())
-            for r in rotations]
+    return [(*plane, entries.tobytes())
+            for plane, entries in zip(records["plane"].tolist(),
+                                      records["entries"])]
+
+
+def zeroing_matrix(anchor_amp, target_amp):
+    """zeroing_rotation's four entries as its 2x2 matrix."""
+    return np.reshape(zeroing_rotation(anchor_amp, target_amp), (2, 2))
 
 
 def random_product_factors(n, l, seed):
@@ -84,24 +97,30 @@ def random_product_factors(n, l, seed):
 
 class TestZeroingRotation:
     def test_anchor_only_gives_identity(self):
-        assert np.array_equal(zeroing_rotation(1, 0), np.eye(2))
+        assert np.array_equal(zeroing_matrix(1, 0), np.eye(2))
 
     def test_target_only(self):
-        rot = zeroing_rotation(0, 1)
+        rot = zeroing_matrix(0, 1)
         assert np.array_equal(rot, np.array([[0, 1], [-1, 0]], dtype=complex))
 
     def test_real_pair(self):
-        rot = zeroing_rotation(0.6, 0.8)
+        rot = zeroing_matrix(0.6, 0.8)
         np.testing.assert_allclose(rot, [[0.6, 0.8], [-0.8, 0.6]], atol=1e-15)
         np.testing.assert_allclose(rot @ [0.6, 0.8], [1, 0], atol=1e-15)
 
     def test_both_zero_gives_identity(self):
-        assert np.array_equal(zeroing_rotation(0, 0), np.eye(2))
+        assert np.array_equal(zeroing_matrix(0, 0), np.eye(2))
+
+    @pytest.mark.parametrize("pair", [(1, 0), (0, 0), (0.6, 0.8j)])
+    def test_entries_are_four_python_complex(self, pair):
+        entries = zeroing_rotation(*pair)
+        assert len(entries) == 4
+        assert all(type(m) is complex for m in entries)
 
     @settings(max_examples=200)
     @given(finite_amp, finite_amp)
     def test_zeroes_target_and_is_unitary(self, x, y):
-        rot = zeroing_rotation(x, y)
+        rot = zeroing_matrix(x, y)
         assert np.max(np.abs(rot @ rot.conj().T - np.eye(2))) < 1e-12
         r = np.hypot(abs(x), abs(y))
         out = rot @ np.array([x, y])
@@ -162,11 +181,11 @@ class TestStageTargets:
                                          k + 1 + j % (n - 1 - k))
                 # A stage on the basis state at target j takes one step,
                 # in that target's plane, onto the anchor.
-                work, rotations = np.zeros(n**l, dtype=complex), []
+                work = np.zeros(n**l, dtype=complex)
                 work[flat] = 1.0
-                eliminate_stage(work, n, l, k, rotations, max_iters=1)
-                assert [(r.site, r.level_a, r.level_b) for r in rotations] == \
-                    [(site, k, digit)]
+                rotations, _ = eliminate(work, n, l, k, max_iters=1)
+                assert rotations["plane"][:, 1:].tolist() == \
+                    [[site, k, digit]]
                 assert abs(work[index_encode((k,) * l, n)]) == \
                     pytest.approx(1.0)
 
@@ -212,7 +231,7 @@ class TestSupportCount:
 class TestEliminateStage:
     def test_bell_already_converged(self):
         out, rotations, report = run_stage(bell(), 0)
-        assert rotations == []
+        assert len(rotations) == 0
         assert report.iterations == 0
         assert report.converged
         assert np.array_equal(out.amplitudes, bell().amplitudes)
@@ -221,8 +240,9 @@ class TestEliminateStage:
         s = PureState(2, 2, np.array([0, 1, 0, 0], dtype=complex))  # digits (1,0)
         out, rotations, report = run_stage(s, 0)
         assert report.iterations == 1
-        assert rotations[0].site == 0
-        assert (rotations[0].level_a, rotations[0].level_b) == (0, 1)
+        _, site, level_a, level_b = rotations["plane"][0].tolist()
+        assert site == 0
+        assert (level_a, level_b) == (0, 1)
         assert amplitude_at(out, [0, 0]) == pytest.approx(1.0, abs=1e-15)
         assert support_count(out, 1e-12) == 1
 
@@ -256,7 +276,7 @@ class TestEliminateStage:
                 break
             before_anchor = abs(s.amplitudes[anchor])
             before_target = abs(s.amplitudes[flats[j]])
-            rot = zeroing_rotation(s.amplitudes[anchor], s.amplitudes[flats[j]])
+            rot = zeroing_matrix(s.amplitudes[anchor], s.amplitudes[flats[j]])
             site, digit = target_plane(flats[j], 2, 3, 0)
             s = apply_plane_rotation(s, site, 0, digit, rot)
             after_anchor = abs(s.amplitudes[anchor])
@@ -283,16 +303,16 @@ class TestEliminateStage:
                 for flat in flats:
                     if abs(ref.amplitudes[flat]) < eps:
                         continue
-                    rot = zeroing_rotation(ref.amplitudes[anchor],
-                                           ref.amplitudes[flat])
+                    rot = zeroing_matrix(ref.amplitudes[anchor],
+                                         ref.amplitudes[flat])
                     site, digit = target_plane(flat, n, l, k)
                     ref = apply_plane_rotation(ref, site, k, digit, rot)
                     expected.append((site, digit, rot))
             assert report.converged
             assert len(rotations) == len(expected)
             for got, (site, digit, rot) in zip(rotations, expected):
-                assert (got.site, got.level_a, got.level_b) == (site, k, digit)
-                assert np.array_equal(got.entries, rot)
+                assert tuple(got["plane"][1:].tolist()) == (site, k, digit)
+                assert np.array_equal(got["entries"], rot)
             assert np.array_equal(out.amplitudes, ref.amplitudes)
             state = out
 
@@ -317,18 +337,19 @@ class TestEliminateStage:
 
     def test_mixes_caller_vector_and_appends_rotations(self):
         # At the cap the stage returns instead of raising; it has mixed
-        # the caller's vector in place and appended its two rotations
-        # after the one already in the list.
+        # the caller's vector in place and appended its two rotations,
+        # four values each, after the one already in the lists.
         s = random_state(2, 3, seed=0)
-        first = LocalRotation(stage=0, site=0, level_a=0, level_b=1,
-                              entries=np.eye(2, dtype=complex))
-        work, rotations = s.amplitudes.copy(), [first]
-        report = eliminate_stage(work, 2, 3, 0, rotations, "greedy", 1e-12,
-                                 max_iters=2)
+        first_plane, first_entries = [0, 0, 0, 1], [1 + 0j, 0j, 0j, 1 + 0j]
+        work, planes, entries = s.amplitudes.copy(), first_plane[:], \
+            first_entries[:]
+        report = eliminate_stage(work, 2, 3, 0, planes, entries, "greedy",
+                                 1e-12, max_iters=2)
         assert not report.converged
-        assert len(rotations) == 3
-        assert rotations[0] is first
-        back = invert_rotations(work, 2, 3, rotations[1:])
+        assert len(planes) == len(entries) == 3 * 4
+        assert planes[:4] == first_plane and entries[:4] == first_entries
+        back = invert_rotations(work, 2, 3, make_records(
+            np.reshape(planes[4:], (-1, 4)), entries[4:]))
         assert np.max(np.abs(back - s.amplitudes)) < 1e-12
 
     def test_rejects_unknown_strategy(self):
@@ -351,14 +372,13 @@ class TestEliminateStage:
                 amps = random_state(n, l, seed=n * 10 + l).amplitudes
                 for k in range(1, n - 1):
                     box_region = (slice(k, None),) * l
-                    whole, whole_rotations = amps.copy(), []
-                    whole_report = eliminate_stage(whole, n, l, k,
-                                                   whole_rotations, strategy)
+                    whole = amps.copy()
+                    whole_rotations, whole_report = eliminate(whole, n, l, k,
+                                                              strategy)
                     box = amps.reshape((n,) * l)[box_region].flatten()
-                    box_rotations = []
-                    box_report = eliminate_stage(box, n, l, k, box_rotations,
-                                                 strategy)
-                    assert whole_rotations
+                    box_rotations, box_report = eliminate(box, n, l, k,
+                                                          strategy)
+                    assert len(whole_rotations)
                     assert rotation_fields(box_rotations) == \
                         rotation_fields(whole_rotations)
                     assert box_report == whole_report
@@ -370,10 +390,10 @@ class TestEliminateStage:
         # Stage 1 of a (4,2) state takes its 16 amplitudes or its box of
         # 9; the stage-2 box (4), and any other size, is refused.
         work = random_state(size, 1, seed=2).amplitudes
-        rotations = []
+        planes, entries = [], []
         with pytest.raises(ValueError, match=f"got {size}"):
-            eliminate_stage(work, 4, 2, 1, rotations)
-        assert rotations == []
+            eliminate_stage(work, 4, 2, 1, planes, entries)
+        assert planes == [] and entries == []
 
 
 class TestReduce:
@@ -389,9 +409,26 @@ class TestReduce:
 
     def test_bell_needs_no_rotations(self):
         trace, report = reduce(bell())
-        assert trace.rotations == []
+        assert trace.rotations.dtype == RECORD and len(trace.rotations) == 0
         assert report.support_after == 2
         assert report.bound == 2
+
+    @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
+    @pytest.mark.parametrize("n, l, box_min_row", [(2, 5, 1024), (4, 3, 1024),
+                                                   (4, 3, 0), (6, 2, 1024)])
+    def test_trace_is_one_record_array(self, monkeypatch, strategy, n, l,
+                                       box_min_row):
+        # On the whole vector and on the box: one record per step of
+        # every stage, in stage order, each with stage == level_a.
+        monkeypatch.setattr(reduction, "BOX_MIN_ROW", box_min_row)
+        trace, report = reduce(random_state(n, l, seed=3), strategy=strategy)
+        records = trace.rotations
+        assert type(records) is np.ndarray
+        assert records.dtype == RECORD == reduction.TRACE_RECORD
+        assert len(records) == sum(s.iterations for s in report.stages) > 0
+        stages, _, level_a, _ = records["plane"].T
+        assert np.array_equal(stages, level_a)
+        assert stages.tolist() == sorted(stages.tolist())
 
     def test_bipartite_three_levels_diagonal(self):
         s = random_state(3, 2, seed=12)
@@ -450,10 +487,10 @@ class TestReduce:
         state = random_state(3, 3, 1)
         with pytest.raises(ValueError, match="max_iters"):
             reduce(state, max_iters_per_stage=cap)
-        work, rotations = state.amplitudes.copy(), []
+        work, planes, entries = state.amplitudes.copy(), [], []
         with pytest.raises(ValueError, match="max_iters"):
-            eliminate_stage(work, 3, 3, 0, rotations, max_iters=cap)
-        assert rotations == []
+            eliminate_stage(work, 3, 3, 0, planes, entries, max_iters=cap)
+        assert planes == [] and entries == []
         assert np.array_equal(work, state.amplitudes)
 
     def test_rejects_epsilon_whose_threshold_overflows(self):
@@ -485,7 +522,7 @@ class TestReduce:
         assert err.report.stages[0].iterations == 0
         assert not err.report.converged
         assert len(err.trace.rotations) == 1
-        assert err.trace.rotations[0].stage == 1
+        assert err.trace.rotations["plane"][0, 0] == 1
         back = invert_trace(err.trace)
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
 
@@ -534,10 +571,8 @@ class TestBoxedStages:
         (boxed, boxed_report, boxed_error), (flat, flat_report, flat_error) = \
             outcomes
         assert boxed_error == flat_error
-        assert [(r.stage, r.site, r.level_a, r.level_b, r.entries.tobytes())
-                for r in boxed.rotations] == \
-            [(r.stage, r.site, r.level_a, r.level_b, r.entries.tobytes())
-             for r in flat.rotations]
+        assert rotation_fields(boxed.rotations) == \
+            rotation_fields(flat.rotations)
         assert boxed_report.stages == flat_report.stages
         assert (boxed_report.support_before, boxed_report.support_after) == \
             (flat_report.support_before, flat_report.support_after)
@@ -584,7 +619,7 @@ class TestBoxedStages:
 
 class TestInvertTrace:
     def test_empty_trace_returns_final_state(self):
-        trace = DecompositionTrace(1.0, [], bell())
+        trace = DecompositionTrace(1.0, make_records([]), bell())
         out = invert_trace(trace)
         assert np.array_equal(out.amplitudes, bell().amplitudes)
 
@@ -624,12 +659,13 @@ def shaped_moves(draw):
     return n, l, draw(st.integers(0, 2**32 - 1)), draw(st.lists(move, max_size=12))
 
 
-def replay_inverse(state, rotations):
+def replay_inverse(state, records):
     """Reference inversion: each conjugate transpose through
     apply_plane_rotation, last rotation first."""
-    for rot in reversed(rotations):
-        state = apply_plane_rotation(state, rot.site, rot.level_a,
-                                     rot.level_b, rot.entries.conj().T)
+    for (_, site, level_a, level_b), entries in zip(
+            records["plane"].tolist()[::-1], records["entries"][::-1]):
+        state = apply_plane_rotation(state, site, level_a, level_b,
+                                     entries.conj().T)
     return state.amplitudes
 
 
@@ -640,12 +676,13 @@ class TestInvertRotations:
     def test_matches_sequential_replay(self, case):
         n, l, seed, moves = case
         rng = np.random.default_rng(seed)
-        rotations = []
+        planes, unitaries = [], []
         for site, a, b in moves:
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             unitary, _ = np.linalg.qr(z)
-            rotations.append(LocalRotation(stage=a, site=site, level_a=a,
-                                           level_b=b, entries=unitary))
+            planes.append((a, site, a, b))
+            unitaries.append(unitary)
+        rotations = make_records(planes, unitaries)
         state = random_state(n, l, seed)
         before = state.amplitudes.copy()
         out = invert_rotations(state.amplitudes, n, l, rotations)
@@ -654,9 +691,8 @@ class TestInvertRotations:
         assert np.max(np.abs(out - replay_inverse(state, rotations))) <= 1e-12
         # The forward fold, as reduce applies it to later stages.
         forward = state
-        for rot in rotations:
-            forward = apply_plane_rotation(forward, rot.site, rot.level_a,
-                                           rot.level_b, rot.entries)
+        for (_, site, a, b), unitary in zip(planes, unitaries):
+            forward = apply_plane_rotation(forward, site, a, b, unitary)
         folded = apply_site_unitaries(state.amplitudes.copy(), n, l,
                                       fold_rotations(rotations, n))
         assert np.max(np.abs(folded - forward.amplitudes)) <= 1e-12
