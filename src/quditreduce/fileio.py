@@ -1,21 +1,21 @@
 """JSON file formats for states, rotation traces, and run reports.
 
 Each file is one line of UTF-8 JSON; layout is not part of a format.
-Integer fields must be JSON integers (booleans rejected). A state of at
-most PAIRS_MAX_AMPLITUDES amplitudes is written as ``qudit-state/1``,
-whose amplitudes are [real, imag] pairs; a larger one as
-``qudit-state/2``, whose amplitudes are one base64 string of the
-little-endian complex128 values. Traces are written as
-``qudit-trace/2``, whose rotations are base64 strings of TRACE_RECORD
-records; ``qudit-trace/1`` (one object per rotation) is still read.
-Either loads as the one TRACE_RECORD array that ``reduce`` records.
-Floats in JSON go through Python's shortest-round-trip decimal repr, so
-any finite double written by this tool reloads bit-exactly; a number too
-large for a double, or a non-finite amplitude in either state format, is
-rejected. The checks in ``state`` judge shapes, the amplitude cap and
-rotation planes. State files whose norm is slightly off (at most 1e-8
-from 1, e.g. hand-written fixtures) are renormalized on load and
-flagged; anything worse is rejected.
+Integer fields must be JSON integers (booleans rejected). States are
+written as ``qudit-state/2``, whose amplitudes are one base64 string of
+the little-endian complex128 values; ``qudit-state/1``, whose amplitudes
+are [real, imag] pairs, is the hand-writable format and is still read.
+Traces are written as ``qudit-trace/2``, whose rotations are base64
+strings of TRACE_RECORD records; ``qudit-trace/1`` (one object per
+rotation) is still read. Either loads as the one TRACE_RECORD array that
+``reduce`` records. Floats in JSON go through Python's
+shortest-round-trip decimal repr, so any finite double reloads
+bit-exactly; a number too large for a double, a non-finite amplitude in
+either state format, or a non-finite ``original_norm`` is rejected. The
+checks in ``state`` judge shapes, the amplitude cap and rotation planes.
+State files whose norm is slightly off (at most 1e-8 from 1, e.g.
+hand-written fixtures) are renormalized on load and flagged; anything
+worse is rejected.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ REPORT_FORMAT = "qudit-report/1"
 _ROTATION_INTS = ("stage", "site", "level_a", "level_b")
 _NUMBER = (int, float)
 
-#: States with more amplitudes than this are written as STATE_FORMAT_BASE64.
-PAIRS_MAX_AMPLITUDES = 4096
-
 #: Norm deviation (|sqrt(sum |a|^2) - 1|) beyond which a state file is rejected.
 MAX_NORM_DEVIATION = 1e-8
 
@@ -57,12 +54,6 @@ def _int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer")
     return value
-
-
-def _pairs(a) -> list:
-    """A complex array as nested lists ending in [re, im] pairs."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def _is_pair(p) -> bool:
@@ -88,23 +79,19 @@ def _parse_pairs(raw, what: str) -> np.ndarray:
     return _complex(raw)
 
 
-def _base64(a) -> str:
-    """A complex array as base64 of its little-endian complex128 bytes."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16")).decode("ascii")
+def _b64encode(a, dtype) -> str:
+    """Base64 of ``a``'s bytes as a contiguous ``dtype`` array."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype)).decode("ascii")
 
 
-def _parse_base64(raw, n: int, l: int) -> np.ndarray:
-    """The n**l complex values of a base64 string, as a fresh, writable
-    vector."""
-    _require(type(raw) is str, "amplitudes must be a base64 string")
+def _b64decode(raw, what: str) -> bytes:
+    """The bytes of the base64 string ``raw``, which errors call ``what``;
+    the caller judges their length."""
+    _require(type(raw) is str, f"{what} must be a base64 string")
     try:
-        blob = base64.b64decode(raw, validate=True)
+        return base64.b64decode(raw, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"amplitudes are not valid base64: {exc}") from None
-    _require(len(blob) == 16 * n**l,
-             f"expected {n**l} amplitudes for n={n}, l={l}, got "
-             f"{len(blob)} bytes of base64 payload, not {16 * n**l}")
-    return np.frombuffer(blob, "<c16").astype(np.complex128)
+        raise ValueError(f"{what} is not valid base64: {exc}") from None
 
 
 def _read_doc(path, formats: tuple, parse):
@@ -146,7 +133,11 @@ def read_state_file(path):
             _int(seed, "field 'seed'")
         raw = doc.get("amplitudes")
         if doc["format"] == STATE_FORMAT_BASE64:
-            amps = _parse_base64(raw, n, l)
+            blob = _b64decode(raw, "field 'amplitudes'")
+            _require(len(blob) == 16 * n**l,
+                     f"expected {n**l} amplitudes for n={n}, l={l}, got "
+                     f"{len(blob)} bytes of base64 payload, not {16 * n**l}")
+            amps = np.frombuffer(blob, "<c16").astype(np.complex128)
         else:
             amps = _parse_pairs(raw, "amplitudes")
             _require(len(amps) == n**l, f"expected {n**l} amplitudes for "
@@ -175,15 +166,12 @@ def load_state(path):
 
 
 def save_state(path, state: PureState, *, seed: int | None = None) -> None:
-    """Write ``state`` as STATE_FORMAT_BASE64 if it has more than
-    PAIRS_MAX_AMPLITUDES amplitudes, else as STATE_FORMAT."""
-    amps = state.amplitudes
-    wide = amps.size > PAIRS_MAX_AMPLITUDES
+    """Write ``state`` as STATE_FORMAT_BASE64."""
     doc = {
-        "format": STATE_FORMAT_BASE64 if wide else STATE_FORMAT,
+        "format": STATE_FORMAT_BASE64,
         "n": state.n,
         "l": state.l,
-        "amplitudes": _base64(amps) if wide else _pairs(amps),
+        "amplitudes": _b64encode(state.amplitudes, "<c16"),
     }
     if seed is not None:
         doc["seed"] = int(seed)
@@ -193,9 +181,8 @@ def save_state(path, state: PureState, *, seed: int | None = None) -> None:
 def save_trace(path, trace: DecompositionTrace) -> None:
     """Write ``trace`` as TRACE_FORMAT_BASE64: its TRACE_RECORD array as
     one base64 string, or [] when there are no rotations."""
-    final = trace.final_state
-    records = np.ascontiguousarray(trace.rotations, TRACE_RECORD)
-    chunks = [base64.b64encode(records).decode("ascii")] if records.size else []
+    final, records = trace.final_state, trace.rotations
+    chunks = [_b64encode(records, TRACE_RECORD)] if len(records) else []
     _dump(path, {
         "format": TRACE_FORMAT_BASE64,
         "n": final.n,
@@ -237,11 +224,7 @@ def _parse_rotations_base64(raw, n: int, l: int) -> np.ndarray:
     concatenated into one writable array."""
     chunks = []
     for i, chunk in enumerate(raw):
-        _require(type(chunk) is str, f"rotations[{i}] must be a base64 string")
-        try:
-            blob = base64.b64decode(chunk, validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII character
-            raise ValueError(f"rotations[{i}] is not valid base64: {exc}") from None
+        blob = _b64decode(chunk, f"rotations[{i}]")
         _require(len(blob) % TRACE_RECORD.itemsize == 0,
                  f"rotations[{i}] decodes to {len(blob)} bytes, not a whole "
                  f"number of {TRACE_RECORD.itemsize}-byte records")
@@ -259,8 +242,10 @@ def load_trace(path):
     def parse(doc):
         n, l = doc["n"], doc["l"]
         original_norm = doc.get("original_norm", 1.0)
-        _require(type(original_norm) in _NUMBER,
-                 "field 'original_norm' must be a number")
+        # An int compares exactly with a float, so 10**400 fails too.
+        _require(type(original_norm) in _NUMBER
+                 and abs(original_norm) <= float(np.finfo(float).max),
+                 "field 'original_norm' must be a finite number")
         raw = doc.get("rotations")
         _require(isinstance(raw, list), "field 'rotations' must be a list")
         parse_rotations = (_parse_rotations_base64

@@ -31,7 +31,7 @@ from .state import (PureState, check_shape, index_encode, rotate_pair_inplace,
 STRATEGIES = ("greedy", "round-robin")
 
 DEFAULT_EPSILON = 1e-12
-DEFAULT_MAX_ITERS = 10000
+DEFAULT_MAX_ITERS = 100000
 
 #: In the final state, the targets of the stages before a completed stage
 #: must lie below this multiple of epsilon, else the run aborts as

@@ -8,16 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditreduce import PureState, product_state, random_state
+from quditreduce import PureState, product_state, random_state, reduce
 import quditreduce
-from quditreduce import cli, fileio
+from quditreduce import cli
 from quditreduce.cli import main
 from quditreduce.errors import InternalConsistencyError, OracleFailureError
 from quditreduce.fileio import (STATE_FORMAT, STATE_FORMAT_BASE64, load_state,
                                 load_trace, save_state, save_trace)
 from quditreduce.reduction import DecompositionTrace
 
-from conftest import make_records
+from conftest import make_records, pairs_doc
 
 RT2 = np.sqrt(2.0)
 
@@ -40,8 +40,9 @@ class TestRandom:
     def test_writes_normalized_state(self, tmp_path):
         path = random_file(tmp_path / "s.json", 2, 3, 42)
         doc = json.loads(path.read_text())
-        assert len(doc["amplitudes"]) == 8
+        assert doc["format"] == STATE_FORMAT_BASE64
         assert doc["seed"] == 42
+        assert len(pairs_doc(path)["amplitudes"]) == 8
         state, renormalized, _ = load_state(path)
         assert abs(state.norm - 1.0) < 1e-12
         assert not renormalized
@@ -184,9 +185,21 @@ class TestReduce:
                          "--reduced", str(tmp_path / f"{stem}.reduced.json")])
             assert code == 0
 
+    def test_heldout_five_level_state_converges_by_default(self, tmp_path):
+        # Greedy needs 10,369 stage-0 steps on this (5,6) state, so it
+        # converges only under a default cap with headroom over 10,000.
+        state = random_state(5, 6, seed=1001)
+        _, report = reduce(state)
+        assert report.converged and report.support_after <= report.bound
+        path = tmp_path / "s.json"
+        save_state(path, state)
+        assert main(["reduce", "--input", str(path)]) == 0
+        report = json.loads((tmp_path / "s.report.json").read_text())
+        assert report["converged"] is True
+
     def test_slightly_denormalized_input_is_flagged(self, tmp_path):
         path = random_file(tmp_path / "s.json", 2, 2, 8)
-        doc = json.loads(path.read_text())
+        doc = pairs_doc(path)
         doc["amplitudes"] = [[re * (1 + 3e-9), im * (1 + 3e-9)]
                              for re, im in doc["amplitudes"]]
         path.write_text(json.dumps(doc))
@@ -410,7 +423,7 @@ class TestVerify:
 
     def test_perturbed_amplitude_fails(self, tmp_path):
         original, trace, reduced = self._reduce(tmp_path)
-        doc = json.loads(reduced.read_text())
+        doc = pairs_doc(reduced)
         doc["amplitudes"][0][0] += 1e-3
         reduced.write_text(json.dumps(doc))
         code = main(["verify", "--original", str(original), "--trace",
@@ -517,7 +530,7 @@ class TestVerify:
         # Scaled by 1 + 5e-10: every amplitude moves by less than the
         # 1e-9 round-trip tolerance, but the squared norm by ~1e-9.
         original, trace, reduced = self._reduce(tmp_path)
-        doc = json.loads(reduced.read_text())
+        doc = pairs_doc(reduced)
         doc["amplitudes"] = [[re * (1 + 5e-10), im * (1 + 5e-10)]
                              for re, im in doc["amplitudes"]]
         reduced.write_text(json.dumps(doc))
@@ -528,6 +541,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("where, key, value", [
         ("top", "original_norm", [1]),
+        # Too large for a double; NaN would pass every norm check.
+        pytest.param("top", "original_norm", 10**400,
+                     id="top-original_norm-10**400"),
+        ("top", "original_norm", float("nan")),
         ("rotation", "stage", "0"),
         ("rotation", "site", 0.9),
     ])
@@ -554,7 +571,7 @@ class TestVerify:
         # the reduced file verify reads, or in the input reduce reads.
         original, trace, reduced = self._reduce(tmp_path)
         path = reduced if command == "verify" else original
-        doc = json.loads(path.read_text())
+        doc = pairs_doc(path)
         doc["amplitudes"][0] = [float(token), 0.0]
         path.write_text(json.dumps(doc))
         assert token in path.read_text()
@@ -568,7 +585,7 @@ class TestVerify:
     def test_malformed_file_is_named(self, tmp_path, capsys, flag):
         # One truncated state file: a bad state, and no trace at all.
         original, trace, reduced = self._reduce(tmp_path)
-        doc = json.loads(original.read_text())
+        doc = pairs_doc(original)
         doc["amplitudes"] = doc["amplitudes"][:1]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -582,7 +599,7 @@ class TestVerify:
         # A unit phase on one reduced amplitude keeps its norm exactly, so
         # only the round trip can catch it.
         original, trace, reduced = self._reduce(tmp_path)
-        doc = json.loads(reduced.read_text())
+        doc = pairs_doc(reduced)
         re, im = doc["amplitudes"][0]
         doc["amplitudes"][0] = [-im, re]
         reduced.write_text(json.dumps(doc))
@@ -595,7 +612,7 @@ class TestVerify:
         # 0.9e-9 in a random phase on each of 4096 amplitudes of the
         # original: below 1e-9 in every amplitude, 5.76e-8 in 2-norm.
         original, trace, reduced = self._reduce(tmp_path, 2, 12, 3)
-        doc = json.loads(original.read_text())
+        doc = pairs_doc(original)
         amps = np.array(doc["amplitudes"]) @ [1, 1j]
         amps += 0.9e-9 * np.exp(2j * np.pi * np.random.default_rng(0).random(4096))
         doc["amplitudes"] = [[a.real, a.imag] for a in amps.tolist()]
@@ -609,7 +626,7 @@ class TestVerify:
         # reduce renormalizes an input whose norm is off by 5e-9; verify
         # loads the original the same way, so the round trip matches.
         path = random_file(tmp_path / "s.json", 3, 2, 5)
-        doc = json.loads(path.read_text())
+        doc = pairs_doc(path)
         doc["amplitudes"] = [[re * (1 + 5e-9), im * (1 + 5e-9)]
                              for re, im in doc["amplitudes"]]
         path.write_text(json.dumps(doc))
@@ -634,12 +651,11 @@ class TestVerify:
                      "--trace", str(trace), "--reduced", str(reduced)])
         assert code == 1
 
-    def test_pairs_original_against_base64_reduced(self, tmp_path, monkeypatch):
-        # The original of 8,192 amplitudes is forced to qudit-state/1;
+    def test_pairs_original_against_base64_reduced(self, tmp_path):
+        # The original of 8,192 amplitudes is rewritten as qudit-state/1;
         # reduce then writes the reduced state as qudit-state/2.
-        with monkeypatch.context() as patch:
-            patch.setattr(fileio, "PAIRS_MAX_AMPLITUDES", 2**13)
-            original = random_file(tmp_path / "s.json", 2, 13, 3)
+        original = random_file(tmp_path / "s.json", 2, 13, 3)
+        original.write_text(json.dumps(pairs_doc(original)))
         assert main(["reduce", "--input", str(original)]) == 0
         reduced = tmp_path / "s.reduced.json"
         assert json.loads(original.read_text())["format"] == STATE_FORMAT

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from quditreduce import (
 )
 from quditreduce.fileio import (
     MAX_NORM_DEVIATION,
-    PAIRS_MAX_AMPLITUDES,
     STATE_FORMAT,
     STATE_FORMAT_BASE64,
     TRACE_FORMAT,
@@ -34,7 +34,7 @@ from quditreduce.fileio import (
     save_trace,
 )
 
-from conftest import RECORD, make_records
+from conftest import RECORD, make_records, state_doc
 
 REPORT_FIELDS = {
     "format", "tool_version", "input_digest", "strategy", "epsilon",
@@ -46,17 +46,6 @@ REPORT_FIELDS = {
 
 def write_doc(path, doc):
     path.write_text(json.dumps(doc))
-
-
-def state_doc(n, l, amps, **extra):
-    doc = {
-        "format": STATE_FORMAT,
-        "n": n,
-        "l": l,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in amps],
-    }
-    doc.update(extra)
-    return doc
 
 
 def base64_doc(n, l, amps, **extra):
@@ -250,46 +239,46 @@ class TestStateValidation:
 
 
 class TestBase64States:
-    def test_threshold(self):
-        assert PAIRS_MAX_AMPLITUDES == 4096
-
-    @pytest.mark.parametrize("n, l, fmt", [(2, 12, STATE_FORMAT),
-                                           (4, 6, STATE_FORMAT),
-                                           (2, 13, STATE_FORMAT_BASE64),
-                                           (3, 8, STATE_FORMAT_BASE64)])
-    def test_written_above_pairs_max_and_bit_exact(self, tmp_path, n, l, fmt):
+    @pytest.mark.parametrize("n, l", [(2, 1), (2, 12), (4, 6), (2, 13), (3, 8)])
+    def test_written_as_base64_and_bit_exact(self, tmp_path, n, l):
+        # Every size, the 4,096 amplitudes of (2,12) and (4,6) included,
+        # is written as /2 and loads as its /1 twin does.
         s = random_state(n, l, seed=n + l)
-        path = tmp_path / "s.json"
+        path, twin = tmp_path / "s.json", tmp_path / "twin.json"
         save_state(path, s, seed=n + l)
-        assert format_of(path) == fmt
+        write_doc(twin, state_doc(n, l, s.amplitudes, seed=n + l))
+        assert format_of(path) == STATE_FORMAT_BASE64
         loaded, renormalized, seed = load_state(path)
         assert loaded.amplitudes.tobytes() == s.amplitudes.tobytes()
         assert not renormalized
         assert seed == n + l
         assert (loaded.n, loaded.l) == (n, l)
+        from_twin, renormalized, seed = load_state(twin)
+        assert from_twin.amplitudes.tobytes() == s.amplitudes.tobytes()
+        assert (renormalized, seed) == (False, n + l)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1),
            st.none() | st.integers(-2**63, 2**63))
-    def test_round_trip_every_shape(self, tmp_path, monkeypatch, n, l,
-                                    state_seed, seed):
-        # Each example overwrites the same file, so sharing tmp_path and
-        # the patched threshold across examples is harmless.
-        monkeypatch.setattr(fileio, "PAIRS_MAX_AMPLITUDES", 0)
+    def test_round_trip_every_shape(self, tmp_path, n, l, state_seed, seed):
+        # Each example overwrites the same files, so sharing tmp_path
+        # across examples is harmless.
         s = random_state(n, l, seed=state_seed)
-        path = tmp_path / "s.json"
+        path, twin = tmp_path / "s.json", tmp_path / "twin.json"
         save_state(path, s, seed=seed)
+        extra = {} if seed is None else {"seed": seed}
+        write_doc(twin, state_doc(n, l, s.amplitudes, **extra))
         assert format_of(path) == STATE_FORMAT_BASE64
-        got_n, got_l, amps, got_seed = read_state_file(path)
-        assert (got_n, got_l, got_seed) == (n, l, seed)
-        assert amps.tobytes() == s.amplitudes.tobytes()
+        for p in (path, twin):
+            got_n, got_l, amps, got_seed = read_state_file(p)
+            assert (got_n, got_l, got_seed) == (n, l, seed)
+            assert amps.tobytes() == s.amplitudes.tobytes()
 
-    def test_both_formats_load_bit_identically(self, tmp_path, monkeypatch):
+    def test_both_formats_load_bit_identically(self, tmp_path):
         s = random_state(3, 4, seed=11)
         pairs, blob = tmp_path / "pairs.json", tmp_path / "blob.json"
-        save_state(pairs, s)
-        monkeypatch.setattr(fileio, "PAIRS_MAX_AMPLITUDES", 0)
+        write_doc(pairs, state_doc(3, 4, s.amplitudes))
         save_state(blob, s)
         assert (format_of(pairs), format_of(blob)) == (STATE_FORMAT,
                                                        STATE_FORMAT_BASE64)
@@ -475,16 +464,24 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=f"malformed: {key} must be an integer"):
             load_trace(path)
 
-    @pytest.mark.parametrize("value", [[1], "1", True, None])
+    @pytest.mark.parametrize("value", [
+        [1], "1", True, None, pytest.param(10**400, id="10**400"),
+        math.nan, -math.inf])
     def test_rejects_non_numeric_original_norm(self, tmp_path, value):
+        # 10**400 is a JSON integer no double holds; NaN and -Infinity
+        # are the non-JSON tokens json.dumps writes for these floats.
         path = tmp_path / "t.json"
         save_trace(path, DecompositionTrace(1.0, make_records([]),
                                             random_state(2, 2, seed=1)))
         doc = json.loads(path.read_text())
         doc["original_norm"] = value
-        write_doc(path, doc)
-        with pytest.raises(ValueError, match="original_norm"):
-            load_trace(path)
+        for fmt in (TRACE_FORMAT_BASE64, TRACE_FORMAT):
+            doc["format"] = fmt
+            write_doc(path, doc)
+            with pytest.raises(ValueError, match="field 'original_norm' must "
+                                                 "be a finite number") as info:
+                load_trace(path)
+            assert str(info.value).count(str(path)) == 1
 
 
 def base64_trace_doc(n, l, *chunks, original_norm=1.0):
