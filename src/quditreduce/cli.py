@@ -55,7 +55,8 @@ EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
-#: Round-trip 2-norm error below which ``verify`` passes.
+#: Round-trip 2-norm error below which ``verify`` passes; also the most
+#: a trace's original_norm may differ from the original's norm.
 VERIFY_TOL = 1e-9
 #: Oracle-vs-reduction coefficient difference below which ``schmidt`` passes.
 SCHMIDT_TOL = 1e-8
@@ -202,7 +203,7 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     original, _, _ = load_state(args.original)
     n1, l1, reduced, _ = read_state_file(args.reduced)
-    nt, lt, _, records = load_trace(args.trace)
+    nt, lt, original_norm, records = load_trace(args.trace)
     if not (original.n == n1 == nt and original.l == l1 == lt):
         raise ValueError(f"shape mismatch: original ({original.n},{original.l}), "
                          f"reduced ({n1},{l1}), trace ({nt},{lt})")
@@ -210,6 +211,10 @@ def cmd_verify(args) -> int:
     # hides a bad rotation, so each rotation's stage and unitarity and the
     # reduced norm are checked on their own first.
     try:
+        if not abs(original_norm - original.norm) <= VERIFY_TOL:
+            raise ValueError(f"trace original_norm {original_norm!r} differs "
+                             f"from the original's norm {original.norm!r} "
+                             f"by more than {VERIFY_TOL}")
         check_stages(records)
         check_unitary(records["entries"])
         check_normalized(reduced, "reduced state")

@@ -5,17 +5,16 @@ Integer fields must be JSON integers (booleans rejected). States are
 written as ``qudit-state/2``, whose amplitudes are one base64 string of
 the little-endian complex128 values; ``qudit-state/1``, whose amplitudes
 are [real, imag] pairs, is the hand-writable format and is still read.
-Traces are written as ``qudit-trace/2``, whose rotations are base64
-strings of TRACE_RECORD records; ``qudit-trace/1`` (one object per
-rotation) is still read. Either loads as the one TRACE_RECORD array that
+Traces are ``qudit-trace/2`` only: their rotations are base64 strings of
+TRACE_RECORD records, which load as the one TRACE_RECORD array that
 ``reduce`` records. Floats in JSON go through Python's
 shortest-round-trip decimal repr, so any finite double reloads
 bit-exactly; a number too large for a double, a non-finite amplitude in
-either state format, or a non-finite ``original_norm`` is rejected. The
-checks in ``state`` judge shapes, the amplitude cap and rotation planes.
-State files whose norm is slightly off (at most 1e-8 from 1, e.g.
-hand-written fixtures) are renormalized on load and flagged; anything
-worse is rejected.
+either state format, or a missing or non-finite ``original_norm`` is
+rejected. The checks in ``state`` judge shapes, the amplitude cap and
+rotation planes. State files whose norm is slightly off (at most 1e-8
+from 1, e.g. hand-written fixtures) are renormalized on load and
+flagged; anything worse is rejected.
 """
 
 from __future__ import annotations
@@ -32,12 +31,9 @@ from .state import NORM_ATOL, PureState, check_plane, check_shape
 
 STATE_FORMAT = "qudit-state/1"
 STATE_FORMAT_BASE64 = "qudit-state/2"
-TRACE_FORMAT = "qudit-trace/1"
 TRACE_FORMAT_BASE64 = "qudit-trace/2"
 REPORT_FORMAT = "qudit-report/1"
 
-#: Integer fields of each TRACE_FORMAT rotation, in TRACE_RECORD order.
-_ROTATION_INTS = ("stage", "site", "level_a", "level_b")
 _NUMBER = (int, float)
 
 #: Norm deviation (|sqrt(sum |a|^2) - 1|) beyond which a state file is rejected.
@@ -56,27 +52,19 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _is_pair(p) -> bool:
-    """A JSON [re, im] number pair (booleans rejected, as in _int)."""
-    return (type(p) is list and len(p) == 2
-            and type(p[0]) in _NUMBER and type(p[1]) in _NUMBER)
-
-
-def _complex(pairs: list) -> np.ndarray:
+def _parse_pairs(raw, what: str) -> np.ndarray:
     """Checked [re, im] pairs as a complex vector."""
-    flat = itertools.chain.from_iterable(pairs)
+    _require(isinstance(raw, list), f"{what} must be a list of [re, im] pairs")
+    for i, p in enumerate(raw):
+        # type(), not isinstance(), so booleans are rejected, as in _int.
+        if not (type(p) is list and len(p) == 2
+                and type(p[0]) in _NUMBER and type(p[1]) in _NUMBER):
+            raise ValueError(f"{what}[{i}] is not a [re, im] number pair")
+    flat = itertools.chain.from_iterable(raw)
     try:
-        return np.fromiter(flat, np.float64, 2 * len(pairs)).view(np.complex128)
+        return np.fromiter(flat, np.float64, 2 * len(raw)).view(np.complex128)
     except OverflowError:
         raise ValueError("a number is too large for a double") from None
-
-
-def _parse_pairs(raw, what: str) -> np.ndarray:
-    _require(isinstance(raw, list), f"{what} must be a list of [re, im] pairs")
-    for i, pair in enumerate(raw):
-        if not _is_pair(pair):
-            raise ValueError(f"{what}[{i}] is not a [re, im] number pair")
-    return _complex(raw)
 
 
 def _b64encode(a, dtype) -> str:
@@ -192,67 +180,34 @@ def save_trace(path, trace: DecompositionTrace) -> None:
     })
 
 
-def _parse_rotations_pairs(raw, n: int, l: int) -> np.ndarray:
-    """The TRACE_RECORD array of TRACE_FORMAT rotation objects."""
-    fields, pairs = [], []
-    for i, r in enumerate(raw):
-        try:
-            fields.append([_int(r[key], key) for key in _ROTATION_INTS])
-            (e00, e01), (e10, e11) = r["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"rotations[{i}] is malformed: {exc}") from exc
-        # check_plane bounds the other fields by n and l.
-        if not -2**31 <= fields[-1][0] < 2**31:
-            raise ValueError(f"rotations[{i}] is malformed: stage "
-                             f"{fields[-1][0]} does not fit a 32-bit integer")
-        if not (_is_pair(e00) and _is_pair(e01)
-                and _is_pair(e10) and _is_pair(e11)):
-            raise ValueError(f"rotations[{i}] is malformed: entries must be "
-                             f"[re, im] number pairs")
-        pairs += (e00, e01, e10, e11)
-    # Object dtype keeps every JSON integer exact, however large.
-    planes = np.array(fields, dtype=object).reshape(-1, 4)
-    check_plane(n, l, *planes[:, 1:].T, what="rotations")
-    records = np.empty(len(fields), TRACE_RECORD)
-    records["plane"] = planes
-    records["entries"] = _complex(pairs).reshape(-1, 2, 2)
-    return records
-
-
-def _parse_rotations_base64(raw, n: int, l: int) -> np.ndarray:
-    """The TRACE_RECORD array of TRACE_FORMAT_BASE64 strings of records,
-    concatenated into one writable array."""
-    chunks = []
-    for i, chunk in enumerate(raw):
-        blob = _b64decode(chunk, f"rotations[{i}]")
-        _require(len(blob) % TRACE_RECORD.itemsize == 0,
-                 f"rotations[{i}] decodes to {len(blob)} bytes, not a whole "
-                 f"number of {TRACE_RECORD.itemsize}-byte records")
-        records = np.frombuffer(blob, TRACE_RECORD)
-        check_plane(n, l, *records["plane"][:, 1:].T,
-                    what=f"rotations[{i}], record")
-        chunks.append(records)
-    return np.concatenate(chunks) if chunks else np.empty(0, TRACE_RECORD)
-
-
 def load_trace(path):
-    """Read either trace format. Returns (n, l, original_norm, records),
-    ``records`` one writable TRACE_RECORD array holding the file's
-    rotations in order."""
+    """Read a TRACE_FORMAT_BASE64 file. Returns (n, l, original_norm,
+    records), ``records`` one writable TRACE_RECORD array holding the
+    file's rotations in order: its base64 strings of records,
+    concatenated."""
     def parse(doc):
         n, l = doc["n"], doc["l"]
-        original_norm = doc.get("original_norm", 1.0)
+        original_norm = doc.get("original_norm")
         # An int compares exactly with a float, so 10**400 fails too.
         _require(type(original_norm) in _NUMBER
                  and abs(original_norm) <= float(np.finfo(float).max),
                  "field 'original_norm' must be a finite number")
         raw = doc.get("rotations")
         _require(isinstance(raw, list), "field 'rotations' must be a list")
-        parse_rotations = (_parse_rotations_base64
-                           if doc["format"] == TRACE_FORMAT_BASE64
-                           else _parse_rotations_pairs)
-        return n, l, float(original_norm), parse_rotations(raw, n, l)
-    return _read_doc(path, (TRACE_FORMAT, TRACE_FORMAT_BASE64), parse)
+        chunks = []
+        for i, text in enumerate(raw):
+            blob = _b64decode(text, f"rotations[{i}]")
+            _require(len(blob) % TRACE_RECORD.itemsize == 0,
+                     f"rotations[{i}] decodes to {len(blob)} bytes, not a "
+                     f"whole number of {TRACE_RECORD.itemsize}-byte records")
+            chunk = np.frombuffer(blob, TRACE_RECORD)
+            check_plane(n, l, *chunk["plane"][:, 1:].T,
+                        what=f"rotations[{i}], record")
+            chunks.append(chunk)
+        records = (np.concatenate(chunks) if chunks
+                   else np.empty(0, TRACE_RECORD))
+        return n, l, float(original_norm), records
+    return _read_doc(path, (TRACE_FORMAT_BASE64,), parse)
 
 
 def report_to_dict(report: ReductionReport, *, tool_version: str,

@@ -3,9 +3,8 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from quditreduce.fileio import STATE_FORMAT, STATE_FORMAT_BASE64, TRACE_FORMAT
+from quditreduce.fileio import STATE_FORMAT, STATE_FORMAT_BASE64
 
 #: The trace record, spelled out so that the tests pin its layout.
 RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
@@ -44,26 +43,3 @@ def pairs_doc(path):
     amps = np.frombuffer(base64.b64decode(doc["amplitudes"]), "<c16")
     return {**doc, **state_doc(doc["n"], doc["l"], amps)}
 
-
-def _save_trace_v1(path, trace):
-    """Write ``trace`` as a qudit-trace/1 document: one object per
-    rotation, its entries as [re, im] pairs. save_trace writes /2 only,
-    so this is the fixture for tests that edit a /1 rotation."""
-    final, records = trace.final_state, trace.rotations
-    entries = np.ascontiguousarray(records["entries"], dtype=complex)
-    rotations = [
-        {"stage": stage, "site": site, "level_a": level_a, "level_b": level_b,
-         "entries": pairs}
-        for (stage, site, level_a, level_b), pairs in zip(
-            records["plane"].tolist(),
-            entries.view(float).reshape(-1, 2, 2, 2).tolist())
-    ]
-    path.write_text(json.dumps({
-        "format": TRACE_FORMAT, "n": final.n, "l": final.l,
-        "original_norm": float(trace.original_norm), "rotations": rotations,
-    }))
-
-
-@pytest.fixture
-def save_trace_v1():
-    return _save_trace_v1

@@ -456,18 +456,16 @@ class TestVerify:
         assert code == 3
         assert "rotations[0]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("v1", [False, True])
-    def test_every_stage_off_level_a_fails(self, tmp_path, capsys, v1,
-                                           save_trace_v1):
+    def test_every_stage_off_level_a_fails(self, tmp_path, capsys):
         # Stage -7 on every record of a (3,2) trace: the planes, entries
         # and round trip are those of the reduction, so only the stage
-        # grammar catches it, in either trace format.
+        # grammar catches it.
         original, trace, reduced = self._reduce(tmp_path)
         _, _, norm, records = load_trace(trace)
         assert len(records) > 1
         records["plane"][:, 0] = -7
         edited = DecompositionTrace(norm, records, load_state(reduced)[0])
-        (save_trace_v1 if v1 else save_trace)(trace, edited)
+        save_trace(trace, edited)
         code = main(["verify", "--original", str(original), "--trace",
                      str(trace), "--reduced", str(reduced)])
         assert code == 3
@@ -510,22 +508,6 @@ class TestVerify:
         assert main(["verify", "--original", str(original), "--trace",
                      str(trace_path), "--reduced", str(reduced_path)]) == 0
 
-    @pytest.mark.parametrize("stage", [2**63, -2**31 - 1])
-    def test_stage_outside_int32_exits_1(self, tmp_path, capsys, stage,
-                                         save_trace_v1):
-        original, trace, reduced = self._reduce(tmp_path)
-        _, _, norm, records = load_trace(trace)
-        save_trace_v1(trace, DecompositionTrace(norm, records,
-                                                load_state(reduced)[0]))
-        doc = json.loads(trace.read_text())
-        doc["rotations"][0]["stage"] = stage
-        trace.write_text(json.dumps(doc))
-        code = main(["verify", "--original", str(original), "--trace",
-                     str(trace), "--reduced", str(reduced)])
-        assert code == 1
-        assert f"{trace}: rotations[0] is malformed: stage {stage}" in \
-            capsys.readouterr().err
-
     def test_unnormalized_reduced_fails(self, tmp_path, capsys):
         # Scaled by 1 + 5e-10: every amplitude moves by less than the
         # 1e-9 round-trip tolerance, but the squared norm by ~1e-9.
@@ -539,29 +521,46 @@ class TestVerify:
         assert code == 3
         assert "norm" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("where, key, value", [
-        ("top", "original_norm", [1]),
+    @pytest.mark.parametrize("value", [
+        [1],
         # Too large for a double; NaN would pass every norm check.
-        pytest.param("top", "original_norm", 10**400,
-                     id="top-original_norm-10**400"),
-        ("top", "original_norm", float("nan")),
-        ("rotation", "stage", "0"),
-        ("rotation", "site", 0.9),
+        pytest.param(10**400, id="10**400"),
+        float("nan"),
     ])
-    def test_malformed_trace_exits_1(self, tmp_path, capsys, where, key, value,
-                                     save_trace_v1):
+    def test_malformed_trace_exits_1(self, tmp_path, capsys, value):
         original, trace, reduced = self._reduce(tmp_path)
-        # Rewritten as /1, whose rotations are objects with these fields.
-        _, _, norm, rotations = load_trace(trace)
-        save_trace_v1(trace, DecompositionTrace(norm, rotations,
-                                                load_state(reduced)[0]))
         doc = json.loads(trace.read_text())
-        (doc if where == "top" else doc["rotations"][0])[key] = value
+        doc["original_norm"] = value
         trace.write_text(json.dumps(doc))
         code = main(["verify", "--original", str(original), "--trace",
                      str(trace), "--reduced", str(reduced)])
         assert code == 1
-        assert key in capsys.readouterr().err
+        assert "original_norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-3.0, 0.5])
+    def test_wrong_original_norm_fails(self, tmp_path, capsys, value):
+        # The rotations, reduced state and round trip are those of the
+        # reduction: only the recorded original norm is wrong.
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(trace.read_text())
+        doc["original_norm"] = value
+        trace.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 3
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith(f"verification FAILED: trace original_norm "
+                               f"{value!r} differs from the original's norm")
+
+    def test_partial_trace_verifies(self, tmp_path):
+        # A capped run records the norm of the state it started from.
+        path = random_file(tmp_path / "s.json", 3, 2, 5)
+        assert main(["reduce", "--input", str(path), "--max-iters", "1"]) == 2
+        trace = tmp_path / "s.trace.json"
+        assert load_trace(trace)[2] == load_state(path)[0].norm
+        code = main(["verify", "--original", str(path), "--trace", str(trace),
+                     "--reduced", str(tmp_path / "s.reduced.json")])
+        assert code == 0
 
     @pytest.mark.parametrize("command, token", [("verify", "NaN"),
                                                 ("reduce", "Infinity")])

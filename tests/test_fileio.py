@@ -22,7 +22,6 @@ from quditreduce.fileio import (
     MAX_NORM_DEVIATION,
     STATE_FORMAT,
     STATE_FORMAT_BASE64,
-    TRACE_FORMAT,
     TRACE_FORMAT_BASE64,
     file_digest,
     load_state,
@@ -42,6 +41,10 @@ REPORT_FIELDS = {
     "input_renormalized", "n", "l", "converged", "support_before",
     "support_after", "bound", "norm_drift", "stage_preservation", "stages",
 }
+
+
+#: A parameter meaning "leave the field out".
+MISSING = object()
 
 
 def write_doc(path, doc):
@@ -200,7 +203,7 @@ class TestStateValidation:
 
     @pytest.mark.parametrize("read, fmt", [(read_state_file, STATE_FORMAT),
                                            (load_state, STATE_FORMAT),
-                                           (load_trace, TRACE_FORMAT)])
+                                           (load_trace, TRACE_FORMAT_BASE64)])
     def test_huge_header_is_over_the_cap(self, tmp_path, read, fmt):
         # n**l of this header has 3,010,300 digits; it is never formed.
         path = tmp_path / "s.json"
@@ -211,19 +214,13 @@ class TestStateValidation:
             read(path)
         assert str(info.value).count(str(path)) == 1
 
-    @pytest.mark.parametrize("read, fmt", [(read_state_file, STATE_FORMAT),
-                                           (load_trace, TRACE_FORMAT)])
-    def test_number_too_large_for_a_double(self, tmp_path, read, fmt):
+    def test_number_too_large_for_a_double(self, tmp_path):
         # 10**400 is a JSON integer that no double can hold.
-        huge, zero = [10**400, 0], [0, 0]
         path = tmp_path / "s.json"
-        write_doc(path, {"format": fmt, "n": 2, "l": 1,
-                         "amplitudes": [huge, zero], "original_norm": 1.0,
-                         "rotations": [{"stage": 0, "site": 0, "level_a": 0,
-                                        "level_b": 1,
-                                        "entries": [[huge, zero], [zero, huge]]}]})
+        write_doc(path, state_doc(2, 1, [1, 0]) | {
+            "amplitudes": [[10**400, 0], [0, 0]]})
         with pytest.raises(ValueError, match="too large for a double") as info:
-            read(path)
+            read_state_file(path)
         assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -364,8 +361,7 @@ class TestTraceFiles:
     @pytest.mark.parametrize("n, l", [(1, 2), (2, 0)])
     def test_rejects_bad_shape(self, tmp_path, n, l):
         path = tmp_path / "t.json"
-        write_doc(path, {"format": TRACE_FORMAT, "n": n, "l": l,
-                         "original_norm": 1.0, "rotations": []})
+        write_doc(path, base64_trace_doc(n, l))
         with pytest.raises(ValueError, match="need n >= 2 and l >= 1"):
             load_trace(path)
 
@@ -381,92 +377,50 @@ class TestTraceFiles:
         assert rotations["plane"].tolist() == trace.rotations["plane"].tolist()
         assert np.array_equal(rotations["entries"], trace.rotations["entries"])
 
-    def test_rejects_out_of_range_rotation(self, tmp_path, save_trace_v1):
-        s = random_state(2, 2, seed=1)
-        trace, _ = reduce(s)
+    def test_rejects_out_of_range_rotation(self, tmp_path):
+        trace, _ = reduce(random_state(2, 2, seed=1))
+        records = trace.rotations.copy()
+        assert len(records), "fixture needs at least one rotation"
+        records["plane"][0, 1] = 5
         path = tmp_path / "t.json"
-        save_trace_v1(path, trace)
-        doc = json.loads(path.read_text())
-        assert doc["rotations"], "fixture needs at least one rotation"
-        doc["rotations"][0]["site"] = 5
-        write_doc(path, doc)
+        write_doc(path, base64_trace_doc(2, 2, records))
         with pytest.raises(ValueError, match="out-of-range"):
             load_trace(path)
 
-    @pytest.mark.parametrize("site", [2**63, 10**30])
-    def test_rejects_huge_rotation_field(self, tmp_path, site, save_trace_v1):
-        # Past int64, yet named exactly: the plane check sees Python ints.
-        trace, _ = reduce(random_state(2, 2, seed=1))
-        path = tmp_path / "t.json"
-        save_trace_v1(path, trace)
-        doc = json.loads(path.read_text())
-        doc["rotations"][1]["site"] = site
-        write_doc(path, doc)
-        with pytest.raises(ValueError, match=rf"out-of-range plane in "
-                                             rf"rotations\[1\]: site {site},"):
-            load_trace(path)
-
-    @pytest.mark.parametrize("stage", [2**63, 2**31, -2**31 - 1])
-    def test_rejects_stage_outside_int32(self, tmp_path, stage, save_trace_v1):
-        # A record holds the stage as <i4: a /1 stage past it is refused
-        # before any record is packed.
-        trace, _ = reduce(random_state(2, 2, seed=1))
-        path = tmp_path / "t.json"
-        save_trace_v1(path, trace)
-        doc = json.loads(path.read_text())
-        doc["rotations"][1]["stage"] = stage
-        write_doc(path, doc)
-        with pytest.raises(ValueError, match=rf"rotations\[1\] is malformed: "
-                                             rf"stage {stage} does not fit"):
-            load_trace(path)
-
     @pytest.mark.parametrize("stage", [2**31 - 1, -2**31])
-    def test_loads_any_int32_stage(self, tmp_path, stage, save_trace_v1):
+    def test_loads_any_int32_stage(self, tmp_path, stage):
         # The file format bounds a stage by <i4 alone; verify judges it.
         trace, _ = reduce(random_state(2, 2, seed=1))
+        records = trace.rotations.copy()
+        records["plane"][1, 0] = stage
         path = tmp_path / "t.json"
-        save_trace_v1(path, trace)
-        doc = json.loads(path.read_text())
-        doc["rotations"][1]["stage"] = stage
-        write_doc(path, doc)
+        write_doc(path, base64_trace_doc(2, 2, records))
         assert load_trace(path)[3]["plane"][1, 0] == stage
 
-    def test_rejects_malformed_entries(self, tmp_path, save_trace_v1):
-        s = random_state(2, 2, seed=1)
-        trace, _ = reduce(s)
+    def test_rejects_hand_written_v1(self, tmp_path, capsys):
+        # qudit-trace/2 is the one trace format; a /1 document of rotation
+        # objects is refused by its format tag.
         path = tmp_path / "t.json"
-        save_trace_v1(path, trace)
-        good = json.loads(path.read_text())
-        # A missing matrix, then pairs read_state_file also rejects:
-        # empty, boolean, and a one-element string list.
-        for bad in (None, [], [True, False], ["1"]):
-            doc = json.loads(json.dumps(good))
-            if bad is None:
-                del doc["rotations"][0]["entries"]
-            else:
-                doc["rotations"][0]["entries"][1][0] = bad
-            write_doc(path, doc)
-            with pytest.raises(ValueError, match="malformed"):
-                load_trace(path)
-
-    @pytest.mark.parametrize("key, value", [
-        ("stage", "0"), ("site", 0.9), ("level_a", True), ("level_b", None),
-    ])
-    def test_rejects_non_integer_rotation_fields(self, tmp_path, key, value,
-                                                 save_trace_v1):
-        s = random_state(2, 2, seed=1)
-        trace, _ = reduce(s)
-        path = tmp_path / "t.json"
-        save_trace_v1(path, trace)
-        doc = json.loads(path.read_text())
-        doc["rotations"][0][key] = value
-        write_doc(path, doc)
-        with pytest.raises(ValueError, match=f"malformed: {key} must be an integer"):
+        write_doc(path, {"format": "qudit-trace/1", "n": 2, "l": 2,
+                         "original_norm": 1.0,
+                         "rotations": [{"stage": 0, "site": 1, "level_a": 0,
+                                        "level_b": 1,
+                                        "entries": [[[1, 0], [0, 0]],
+                                                    [[0, 0], [1, 0]]]}]})
+        with pytest.raises(ValueError, match="unrecognized format "
+                                             "'qudit-trace/1', expected "
+                                             "'qudit-trace/2'") as info:
             load_trace(path)
+        assert str(info.value).count(str(path)) == 1
+        state = tmp_path / "s.json"
+        save_state(state, random_state(2, 2, seed=1))
+        assert main(["verify", "--original", str(state), "--trace", str(path),
+                     "--reduced", str(state)]) == 1
+        assert "expected 'qudit-trace/2'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [
         [1], "1", True, None, pytest.param(10**400, id="10**400"),
-        math.nan, -math.inf])
+        math.nan, -math.inf, pytest.param(MISSING, id="missing")])
     def test_rejects_non_numeric_original_norm(self, tmp_path, value):
         # 10**400 is a JSON integer no double holds; NaN and -Infinity
         # are the non-JSON tokens json.dumps writes for these floats.
@@ -474,14 +428,15 @@ class TestTraceFiles:
         save_trace(path, DecompositionTrace(1.0, make_records([]),
                                             random_state(2, 2, seed=1)))
         doc = json.loads(path.read_text())
-        doc["original_norm"] = value
-        for fmt in (TRACE_FORMAT_BASE64, TRACE_FORMAT):
-            doc["format"] = fmt
-            write_doc(path, doc)
-            with pytest.raises(ValueError, match="field 'original_norm' must "
-                                                 "be a finite number") as info:
-                load_trace(path)
-            assert str(info.value).count(str(path)) == 1
+        if value is MISSING:
+            del doc["original_norm"]
+        else:
+            doc["original_norm"] = value
+        write_doc(path, doc)
+        with pytest.raises(ValueError, match="field 'original_norm' must "
+                                             "be a finite number") as info:
+            load_trace(path)
+        assert str(info.value).count(str(path)) == 1
 
 
 def base64_trace_doc(n, l, *chunks, original_norm=1.0):
@@ -551,21 +506,6 @@ class TestBase64Traces:
         got = load_trace(path)[3]
         assert got.dtype == trace.rotations.dtype == RECORD
         assert got.tobytes() == trace.rotations.tobytes()
-
-    def test_both_formats_load_identically(self, tmp_path, save_trace_v1):
-        trace, _ = reduce(random_state(3, 3, seed=8))
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        save_trace_v1(v1, trace)
-        save_trace(v2, trace)
-        n1, l1, norm1, rot1 = load_trace(v1)
-        n2, l2, norm2, rot2 = load_trace(v2)
-        assert (n1, l1, norm1) == (n2, l2, norm2)
-        assert rot1.dtype == rot2.dtype == RECORD
-        assert rot1.tobytes() == rot2.tobytes() == trace.rotations.tobytes()
-        fields1, entries1 = fields_and_entries(rot1)
-        fields2, entries2 = fields_and_entries(rot2)
-        assert fields1 == fields2
-        assert entries1.tobytes() == entries2.tobytes()
 
     def test_empty_trace_is_an_empty_list(self, tmp_path):
         path = tmp_path / "t.json"
