@@ -1,3 +1,4 @@
+import base64
 import errno
 import json
 import os
@@ -20,6 +21,9 @@ from quditreduce.reduction import DecompositionTrace
 from conftest import make_records, pairs_doc
 
 RT2 = np.sqrt(2.0)
+
+#: A parameter meaning "leave the field out".
+MISSING = object()
 
 
 def bell_file(path):
@@ -456,14 +460,15 @@ class TestVerify:
         assert code == 3
         assert "rotations[0]" in capsys.readouterr().out
 
-    def test_every_stage_off_level_a_fails(self, tmp_path, capsys):
-        # Stage -7 on every record of a (3,2) trace: the planes, entries
-        # and round trip are those of the reduction, so only the stage
-        # grammar catches it.
+    @pytest.mark.parametrize("stage", [-7, 2**31 - 1])
+    def test_every_stage_off_level_a_fails(self, tmp_path, capsys, stage):
+        # One bad stage on every record of a (3,2) trace: the planes,
+        # entries and round trip are those of the reduction, so only the
+        # stage grammar catches it.
         original, trace, reduced = self._reduce(tmp_path)
         _, _, norm, records = load_trace(trace)
         assert len(records) > 1
-        records["plane"][:, 0] = -7
+        records["plane"][:, 0] = stage
         edited = DecompositionTrace(norm, records, load_state(reduced)[0])
         save_trace(trace, edited)
         code = main(["verify", "--original", str(original), "--trace",
@@ -471,7 +476,7 @@ class TestVerify:
         assert code == 3
         out = capsys.readouterr().out
         assert f"{len(records)} of {len(records)} rotations" in out
-        assert "rotations[0] has stage -7 but level_a 0" in out
+        assert f"rotations[0] has stage {stage} but level_a 0" in out
 
     def test_first_stage_off_level_a_is_named(self, tmp_path, capsys):
         # One bad record among good ones, past the first: its stage is a
@@ -526,18 +531,53 @@ class TestVerify:
         # Too large for a double; NaN would pass every norm check.
         pytest.param(10**400, id="10**400"),
         float("nan"),
+        pytest.param(MISSING, id="missing"),
     ])
     def test_malformed_trace_exits_1(self, tmp_path, capsys, value):
         original, trace, reduced = self._reduce(tmp_path)
         doc = json.loads(trace.read_text())
-        doc["original_norm"] = value
+        if value is MISSING:
+            del doc["original_norm"]
+        else:
+            doc["original_norm"] = value
         trace.write_text(json.dumps(doc))
         code = main(["verify", "--original", str(original), "--trace",
                      str(trace), "--reduced", str(reduced)])
         assert code == 1
         assert "original_norm" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [-3.0, 0.5])
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda rot: rot[0], "'rotations' must be a list",
+                     id="not-a-list"),
+        pytest.param(lambda rot: rot + [0], r"rotations[1] must be a base64",
+                     id="not-a-string"),
+        pytest.param(lambda rot: ["!" + rot[0]], "rotations[0] is not valid",
+                     id="not-base64"),
+        pytest.param(lambda rot: [rot[0][:-4]], "not a whole number of",
+                     id="partial-record"),
+        pytest.param(lambda rot: rot + [base64.b64encode(
+            make_records([(0, 2, 0, 1)]).tobytes()).decode("ascii")],
+            "out-of-range plane in rotations[1], record[0]: site 2,",
+            id="site-past-l"),
+    ])
+    def test_malformed_rotations_exit_1(self, tmp_path, capsys, edit,
+                                        message):
+        # Each edit leaves a well-formed JSON document that the
+        # qudit-trace/2 reader refuses: one message naming the file, no
+        # traceback.
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(trace.read_text())
+        assert len(doc["rotations"]) == 1
+        doc["rotations"] = edit(doc["rotations"])
+        trace.write_text(json.dumps(doc))
+        code = main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count(str(trace)) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [-3.0, 0.5, 1 + 2e-9])
     def test_wrong_original_norm_fails(self, tmp_path, capsys, value):
         # The rotations, reduced state and round trip are those of the
         # reduction: only the recorded original norm is wrong.
@@ -551,6 +591,15 @@ class TestVerify:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last.startswith(f"verification FAILED: trace original_norm "
                                f"{value!r} differs from the original's norm")
+
+    def test_original_norm_within_tolerance_verifies(self, tmp_path):
+        # Off the original's norm by half of VERIFY_TOL: accepted.
+        original, trace, reduced = self._reduce(tmp_path)
+        doc = json.loads(trace.read_text())
+        doc["original_norm"] = load_state(original)[0].norm + 5e-10
+        trace.write_text(json.dumps(doc))
+        assert main(["verify", "--original", str(original), "--trace",
+                     str(trace), "--reduced", str(reduced)]) == 0
 
     def test_partial_trace_verifies(self, tmp_path):
         # A capped run records the norm of the state it started from.

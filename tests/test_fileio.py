@@ -214,13 +214,15 @@ class TestStateValidation:
             read(path)
         assert str(info.value).count(str(path)) == 1
 
-    def test_number_too_large_for_a_double(self, tmp_path):
+    @pytest.mark.parametrize("read, fmt", [(read_state_file, STATE_FORMAT),
+                                           (load_state, STATE_FORMAT)])
+    def test_number_too_large_for_a_double(self, tmp_path, read, fmt):
         # 10**400 is a JSON integer that no double can hold.
         path = tmp_path / "s.json"
         write_doc(path, state_doc(2, 1, [1, 0]) | {
-            "amplitudes": [[10**400, 0], [0, 0]]})
+            "format": fmt, "amplitudes": [[10**400, 0], [0, 0]]})
         with pytest.raises(ValueError, match="too large for a double") as info:
-            read_state_file(path)
+            read(path)
         assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -385,6 +387,24 @@ class TestTraceFiles:
         path = tmp_path / "t.json"
         write_doc(path, base64_trace_doc(2, 2, records))
         with pytest.raises(ValueError, match="out-of-range"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("field, value", [("site", 2**31 - 1),
+                                              ("site", -2**31),
+                                              ("level_b", 2**31 - 1)])
+    def test_rejects_huge_rotation_field(self, tmp_path, field, value):
+        # The extremes of a packed <i4 plane field, named exactly.
+        trace, _ = reduce(random_state(2, 2, seed=1))
+        records = trace.rotations.copy()
+        records["plane"][1, ("stage", "site", "level_a",
+                             "level_b").index(field)] = value
+        path = tmp_path / "t.json"
+        write_doc(path, base64_trace_doc(2, 2, records))
+        _, site, level_a, level_b = records["plane"][1].tolist()
+        with pytest.raises(ValueError, match=rf"out-of-range plane in "
+                                             rf"rotations\[0\], record\[1\]: "
+                                             rf"site {site}, levels "
+                                             rf"\({level_a}, {level_b}\)"):
             load_trace(path)
 
     @pytest.mark.parametrize("stage", [2**31 - 1, -2**31])
