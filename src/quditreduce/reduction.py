@@ -41,14 +41,14 @@ PRESERVATION_FACTOR = 10.0
 #: Kernel rows (n**(l-1) amplitudes) at least this long run stages k >= 1
 #: on the box of digits >= k. Boxing spares each stage-k rotation the
 #: kernel's pass over 2*(n**(l-1) - (n-k)**(l-1)) row amplitudes outside
-#: the box, and charges it one step of the Python fold instead. Break-even
-#: is about fold time / kernel time per amplitude: on a 2-vCPU Xeon the
-#: fold takes 6-9 us per rotation and the kernel 7-13 ns per amplitude at
-#: (4,8) and (5,6), so boxing pays once a rotation spares several hundred
-#: amplitudes. 1024 boxes (4,8) and (5,6) (rows of 16,384 and 3,125) and
-#: keeps short rows in place: at l = 2 the box spares a rotation only 2k
-#: amplitudes, and boxed reductions of four (8,2) and two (16,2) states
-#: took a median 1.78 s against 1.37 s in place on the same host.
+#: the box, and charges it its share of the fold instead. Break-even is
+#: about fold time / kernel time per amplitude. This value was measured on
+#: a 2-vCPU Xeon with a rotation-by-rotation fold of 6-9 us per rotation
+#: (the blocked fold takes 0.25-0.4 us) and a kernel of 7-13 ns per
+#: amplitude at (4,8) and (5,6). 1024 boxes (4,8) and (5,6) (rows of
+#: 16,384 and 3,125) and keeps short rows in place: at l = 2 the box spares
+#: a rotation only 2k amplitudes, and boxed reductions of four (8,2) and
+#: two (16,2) states took a median 1.78 s against 1.37 s in place.
 BOX_MIN_ROW = 1024
 
 #: One recorded step, in memory and in qudit-trace/2 files: the plane
@@ -327,40 +327,84 @@ def reduce(state: PureState, strategy: str = "greedy",
     return trace, report
 
 
-def fold_rotations(records, n: int) -> dict[int, list[list[complex]]]:
+def _block_products(records, n: int):
+    """(touched sites, products): products[b, i] is the product, in
+    order, of the rotations block b of ``records`` applies to site
+    sites[i], for about sqrt(T) consecutive blocks of the T records,
+    folded in lockstep. See fold_rotations."""
+    count = len(records)
+    plane = records["plane"]
+    sites, which = np.unique(plane[:, 1], return_inverse=True)
+    block_size = sites.size * n * n
+    budget = count * (TRACE_RECORD.itemsize // 16) + n ** sites.size
+    blocks = max(1, min(math.isqrt(count - 1) + 1, budget // block_size))
+    length = -(-count // blocks)
+    # Record i is step i % length of block i // length. A pad step mixes
+    # rows 0 and 1 of its block's first site by the identity.
+    rows = np.empty((blocks * length, 2), np.intp)
+    rows[:count] = (which * n)[:, None] + plane[:, 2:]
+    rows[count:] = 0, 1
+    rows = rows.reshape(blocks, length, 2)
+    rows += (np.arange(blocks) * (sites.size * n))[:, None, None]
+    mix = np.empty((blocks * length, 2, 2), np.complex128)
+    mix[:count] = records["entries"]
+    mix[count:] = np.eye(2)
+    mix = mix.reshape(blocks, length, 2, 2)
+    products = np.zeros((blocks, sites.size, n, n), np.complex128)
+    products[...] = np.eye(n)
+    unitary_rows = products.reshape(-1, n)
+    for j in range(length):
+        # Rows a and b of every block's unitary, mixed as R @ [a; b].
+        pair = unitary_rows[rows[:, j]]
+        unitary_rows[rows[:, j]] = (mix[:, j, :, :1] * pair[:, :1]
+                                    + mix[:, j, :, 1:] * pair[:, 1:])
+    return sites, products
+
+
+def fold_rotations(records, n: int) -> dict[int, np.ndarray]:
     """Fold a TRACE_RECORD array into one n x n unitary per touched site.
 
     Every rotation acts on one site, so the whole sequence is a tensor
     product of per-site unitaries U = R_T ... R_1, the product of that
-    site's rotations in order. Each rotation costs O(n), as a 2x2 mix of
-    two rows of its site's unitary. Returns {site: rows} with rows as
-    lists of Python complex.
+    site's rotations in order. The T records are cut into about sqrt(T)
+    consecutive blocks, the last one padded with identity records, and
+    all blocks are folded in lockstep: step j mixes two rows of every
+    block's unitary for the site of its j-th record, as one gather, one
+    2x2 mix and one scatter across the blocks. A tree of batched matmuls,
+    later blocks on the left, then multiplies the block products, so U
+    equals the rotation-by-rotation product to rounding. Beyond one
+    block, the blocks' unitaries hold no more amplitudes than the records
+    (TRACE_RECORD.itemsize // 16 per record) and a state on the touched
+    sites together, so large-n traces get fewer, longer blocks. Returns
+    {site: (n, n) complex array}, the sites in ascending order.
     """
-    # Python complex throughout: per-rotation numpy calls on n-vectors
-    # cost more than the arithmetic.
-    unitaries: dict[int, list[list[complex]]] = {}
-    for (_, site, level_a, level_b), (m00, m01, m10, m11) in zip(
-            records["plane"].tolist(), records["entries"].reshape(-1, 4).tolist()):
-        rows = unitaries.get(site)
-        if rows is None:
-            rows = unitaries[site] = np.eye(n, dtype=np.complex128).tolist()
-        a, b = rows[level_a], rows[level_b]
-        rows[level_a] = [m00 * x + m01 * y for x, y in zip(a, b)]
-        rows[level_b] = [m10 * x + m11 * y for x, y in zip(a, b)]
-    return unitaries
+    if not len(records):
+        return {}
+    sites, products = _block_products(records, n)
+    while len(products) > 1:
+        # Block 2i+1 times block 2i; an odd last block is carried up as
+        # if paired with an identity block.
+        pairs = len(products) // 2
+        merged = np.empty((len(products) - pairs, *products.shape[1:]),
+                          np.complex128)
+        np.matmul(products[1:2 * pairs:2], products[:2 * pairs:2],
+                  out=merged[:pairs])
+        merged[pairs:] = products[2 * pairs:]
+        products = merged
+    return dict(zip(sites.tolist(), products[0]))
 
 
 def apply_site_unitaries(amplitudes: np.ndarray, n: int, l: int,
                          unitaries) -> np.ndarray:
-    """Apply each site's n x n matrix in ``unitaries`` ({site: rows} from
-    fold_rotations, or {site: array}) through ``site_view``, touching the
+    """Apply each site's (n, n) array in ``unitaries``, {site: array} as
+    fold_rotations returns it, through ``site_view``, touching the
     amplitudes once per site. Alternates between ``amplitudes`` and one
     spare vector, so it overwrites ``amplitudes`` and may return it."""
     work, spare = amplitudes, None
-    for site, rows in unitaries.items():
+    for site, unitary in unitaries.items():
         if spare is None:
             spare = np.empty_like(work)
-        np.matmul(np.array(rows), site_view(work, n, l, site),
+        np.matmul(unitary, site_view(work, n, l, site),
                   out=site_view(spare, n, l, site))
         work, spare = spare, work
     return work
@@ -371,13 +415,14 @@ def invert_rotations(amplitudes: np.ndarray, n: int, l: int,
     """Undo the TRACE_RECORD array ``records`` on a raw amplitude vector;
     returns a new vector.
 
-    Each site's folded unitary U = R_T ... R_1 is undone by its conjugate
-    transpose U^dagger = R_1^dagger ... R_T^dagger, which is the conjugate
-    transposes of the rotations, last one first, as one matrix.
+    Each site's folded unitary U = R_T ... R_1, an (n, n) array from
+    fold_rotations, is undone by its conjugate transpose
+    U^dagger = R_1^dagger ... R_T^dagger, applied as one matrix per site
+    by apply_site_unitaries.
     """
     work = np.array(amplitudes, dtype=np.complex128)
-    adjoints = {site: np.array(rows).conj().T
-                for site, rows in fold_rotations(records, n).items()}
+    adjoints = {site: unitary.conj().T
+                for site, unitary in fold_rotations(records, n).items()}
     return apply_site_unitaries(work, n, l, adjoints)
 
 

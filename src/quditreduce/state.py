@@ -50,9 +50,12 @@ def check_normalized(amps, what: str) -> None:
 
 def check_unitary(entries) -> None:
     """Require each 2x2 matrix R of the complex (k, 2, 2) array ``entries``
-    to have R R^dagger within UNITARITY_ATOL of the identity, entry by entry."""
-    gram = entries @ np.swapaxes(entries, -1, -2).conj()
-    defects = np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
+    to have R R^dagger within UNITARITY_ATOL of the identity, entry by entry.
+    A non-finite entry, or one whose square overflows, makes a NaN or
+    infinite defect, which fails without a floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = entries @ np.swapaxes(entries, -1, -2).conj()
+        defects = np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
     bad = np.flatnonzero(~(defects <= UNITARITY_ATOL))
     if bad.size:
         i = int(bad[0])

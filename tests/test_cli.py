@@ -445,7 +445,11 @@ class TestVerify:
         assert code == 0
         assert "0.000000e+00" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("diagonal", [[2.0, 1.0], [np.nan, 1.0]])
+    # A non-finite entry, or one whose square overflows, is not unitary
+    # either, and must fail without a floating-point warning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("diagonal", [[2.0, 1.0], [np.nan, 1.0],
+                                          [np.inf, 1.0], [1e200, 1.0]])
     def test_non_unitary_rotation_fails(self, tmp_path, capsys, diagonal):
         # diag(2, 1) fixes level 1 of site 0, where all the amplitude sits,
         # so the round trip alone is exact.
@@ -458,7 +462,8 @@ class TestVerify:
         code = main(["verify", "--original", str(path), "--trace",
                      str(trace_path), "--reduced", str(path)])
         assert code == 3
-        assert "rotations[0]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "not unitary" in out and "rotations[0]" in out
 
     @pytest.mark.parametrize("stage", [-7, 2**31 - 1])
     def test_every_stage_off_level_a_fails(self, tmp_path, capsys, stage):

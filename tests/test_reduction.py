@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -606,8 +608,8 @@ class TestBoxedStages:
             # Swap levels 0 and 1 of site 0: the anchor's weight lands on
             # the stage-0 target with digit 1 at site 0.
             unitaries = fold(rotations, n)
-            rows = unitaries.setdefault(0, np.eye(n).tolist())
-            rows[0], rows[1] = rows[1], rows[0]
+            rows = unitaries.setdefault(0, np.eye(n, dtype=complex))
+            rows[[0, 1]] = rows[[1, 0]]
             return unitaries
 
         monkeypatch.setattr(reduction, "BOX_MIN_ROW", 0)
@@ -696,6 +698,72 @@ class TestInvertRotations:
         folded = apply_site_unitaries(state.amplitudes.copy(), n, l,
                                       fold_rotations(rotations, n))
         assert np.max(np.abs(folded - forward.amplitudes)) <= 1e-12
+
+
+def sequential_fold(records, n):
+    """Reference fold: each rotation mixes two rows of its site's
+    unitary, one record at a time, in order."""
+    unitaries = {}
+    for (_, site, a, b), entries in zip(records["plane"].tolist(),
+                                        records["entries"]):
+        unitary = unitaries.setdefault(site, np.eye(n, dtype=complex))
+        unitary[[a, b]] = entries @ unitary[[a, b]]
+    return unitaries
+
+
+def random_records(n, l, count, seed, sites=None):
+    """``count`` records of random 2x2 unitaries, each on a random plane
+    (a, site, a, b) of one of ``sites`` (default: every site)."""
+    rng = np.random.default_rng(seed)
+    site = rng.choice(range(l) if sites is None else sites, count)
+    a = rng.integers(0, n - 1, count)
+    b = rng.integers(a + 1, n)
+    z = rng.standard_normal((count, 2, 2)) \
+        + 1j * rng.standard_normal((count, 2, 2))
+    unitaries, _ = np.linalg.qr(z)
+    return make_records(np.stack([a, site, a, b], axis=1), unitaries)
+
+
+def assert_matches_sequential_fold(records, n):
+    folded, reference = fold_rotations(records, n), sequential_fold(records, n)
+    assert folded.keys() == reference.keys()
+    for site, unitary in reference.items():
+        assert folded[site].shape == (n, n)
+        assert np.max(np.abs(folded[site] - unitary)) <= 1e-12
+
+
+class TestFoldRotations:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), l=st.integers(1, 4),
+           count=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_long_traces_match_sequential_fold(self, n, l, count, seed):
+        assert_matches_sequential_fold(random_records(n, l, count, seed), n)
+
+    # Blocks of about sqrt(T) records: k**2 records fill k blocks exactly,
+    # k**2 + 1 for even k make an odd count of k + 1 blocks, the last one
+    # padded, so the tree carries a block up unpaired.
+    @pytest.mark.parametrize("count", [0, 1, 2, 16, 17, 36, 37, 1024, 1025])
+    def test_block_edges(self, count):
+        assert_matches_sequential_fold(random_records(3, 2, count, count), 3)
+
+    def test_untouched_sites_are_left_out(self):
+        records = random_records(4, 4, 500, seed=3, sites=[1, 3])
+        assert fold_rotations(records, 4).keys() == {1, 3}
+        assert_matches_sequential_fold(records, 4)
+
+    def test_peak_memory_within_records_and_state(self):
+        # The blocks' unitaries may hold as many amplitudes as the records
+        # and the state; with the fold's temporaries, the peak stays within
+        # three times their bytes.
+        n, l = 64, 2
+        records = random_records(n, l, 20000, seed=4)
+        tracemalloc.start()
+        try:
+            fold_rotations(records, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (records.nbytes + 16 * n**l)
 
 
 class TestTelescopedMassTransfer:
