@@ -15,6 +15,15 @@ mix with them, lie in the box of terms whose digits are all >= k: an
 long, stages k >= 1 run on that box alone, and their rotations reach the
 rest of the vector through one per-site fold at the end. Inversion
 applies the conjugate transpose of the same fold.
+
+Every rotation acts on one site, so within a stage the state is its
+input under one unitary per site. A stage whose kernel rows are long
+runs contracted: it rotates those unitaries and reads the anchor and
+targets as contractions of its untouched input, whose amplitudes it
+mixes once at the end. The rule is on row length because a rotation in
+place touches two rows, one amplitude each at l = 1 and n at l = 2,
+while a contracted step reads the whole vector; CONTRACT_MIN_ROW says
+how much longer than the contraction's cross rows the kernel rows must be.
 """
 
 from __future__ import annotations
@@ -49,7 +58,22 @@ PRESERVATION_FACTOR = 10.0
 #: 16,384 and 3,125) and keeps short rows in place: at l = 2 the box spares
 #: a rotation only 2k amplitudes, and boxed reductions of four (8,2) and
 #: two (16,2) states took a median 1.78 s against 1.37 s in place.
+#: Stage 0 of (4,8) no longer runs the kernel, since it runs contracted
+#: (CONTRACT_MIN_ROW); its later stages, on the (3,8) and (2,8) boxes, do.
 BOX_MIN_ROW = 1024
+
+#: A stage runs contracted (see eliminate_stage) when the kernel rows of
+#: its vector, m**(l-1) amplitudes for m levels, exceed the K of its
+#: larger half by at least this many amplitudes. An in-place step makes
+#: about ten numpy passes over two rows; a contracted step rebuilds one K,
+#: reads the targets through both and makes one gemv pass over the vector.
+#: Stage-0 steps measured in a fresh interpreter on a 2-vCPU Xeon, in us
+#: in place against contracted, with the excess of rows over K: (4,7), 768:
+#: 35-39 / 32-48; (5,6), 1,500: 30-45 / 32-38; (2,12), 1,600: 25-38 /
+#: 25-28; (2,13), 3,072: 38-42 / 29-44; (3,9), 3,888: 50-139 / 35-39;
+#: (4,8), 13,056: 142-439 / 49-58. K is no shorter than a row for l <= 5,
+#: so those shapes always run in place.
+CONTRACT_MIN_ROW = 2048
 
 #: One recorded step, in memory and in qudit-trace/2 files: the plane
 #: (stage, site, level_a, level_b), a stage-k step mixing levels (k, target
@@ -179,6 +203,15 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
     terminates for any epsilon > 0 in exact arithmetic; max_iters, an
     int >= 1, is the practical stop.
 
+    Where kernel rows are long, the stage runs contracted
+    (_contracted_stage): its steps rotate one m x m unitary per site, m
+    the level count of ``work``, and read the anchor and targets as
+    contractions of the untouched vector, which takes the unitaries once
+    at the end. That is when the rows, m**(l-1) amplitudes, exceed the
+    K of the larger half by at least CONTRACT_MIN_ROW. Otherwise each
+    step runs rotate_pair_inplace on ``work`` (_in_place_stage). Both
+    record the same steps, and their amplitudes agree to rounding.
+
     Mixes ``work`` in place, extends the flat lists ``planes`` and
     ``entries`` by each rotation's (stage, site, level_a, level_b) and
     its four zeroing_rotation entries, and returns the StageReport, whose
@@ -193,7 +226,7 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
     # type(), not isinstance(): a bool is not an iteration cap.
     if type(max_iters) is not int or max_iters < 1:
         raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
-    flats = stage_targets(n, l, k)
+    stage_targets(n, l, k)  # the shape and stage checks
     offset = 0
     if work.size != n**l:
         if work.size != (n - k)**l:
@@ -202,14 +235,19 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
                 f"{(n - k)**l} amplitudes, got {work.size}")
         # The box: stage 0 of an (n-k)-level state, levels shifted by k.
         offset, n, k = k, n - k, 0
-        flats = stage_targets(n, l, k)
-    anchor = index_encode((k,) * l, n)
+    # K of the larger half, b sites, holds (1 + b(n-1-k)) * n**b entries.
+    b = l - l // 2
+    driver = _in_place_stage
+    if n ** (l - 1) - (1 + b * (n - 1 - k)) * n**b >= CONTRACT_MIN_ROW:
+        driver = _contracted_stage
+    read, rotate, finish = driver(work, n, l, k)
 
-    anchor_history = [float(abs(work[anchor]))]
+    anchor, targets = read()
+    anchor_history = [float(abs(anchor))]
     pivot_history: list[float] = []
     cursor = 0
     while True:
-        mags = np.abs(work[flats])
+        mags = np.abs(targets)
         # argmax returns the first maximum; targets are in ascending flat
         # order, which implements the greedy smallest-flat tie-break.
         j = int(mags.argmax())
@@ -223,19 +261,117 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
             cursor = j + 1
         site, digit = divmod(j, n - 1 - k)
         digit += k + 1
-        flat = int(flats[j])
-        rot = zeroing_rotation(work[anchor], work[flat])
-        pivot_history.append(float(abs(work[flat])))
-        rotate_pair_inplace(work, n, l, site, k, digit, *rot)
-        anchor_history.append(float(abs(work[anchor])))
+        rot = zeroing_rotation(anchor, targets[j])
+        pivot_history.append(float(abs(targets[j])))
+        rotate(site, digit, rot)
+        anchor, targets = read()
+        anchor_history.append(float(abs(anchor)))
         planes += (k + offset, site, k + offset, digit + offset)
         entries += rot
+    finish()
 
     return StageReport(
         stage=k + offset, iterations=len(pivot_history), residual=residual,
         anchor_history=anchor_history, pivot_history=pivot_history,
         converged=converged,
     )
+
+
+def _in_place_stage(work: np.ndarray, n: int, l: int, k: int):
+    """(read, rotate, finish) of stage k run on ``work`` itself: read
+    returns the anchor amplitude and the target amplitudes in ascending
+    flat order, rotate(site, digit, rot) mixes levels k and digit of
+    ``work`` at one site through rotate_pair_inplace, and finish has
+    nothing left to do."""
+    anchor = index_encode((k,) * l, n)
+    flats = stage_targets(n, l, k)
+
+    def read():
+        return work[anchor], work[flats]
+
+    def rotate(site, digit, rot):
+        rotate_pair_inplace(work, n, l, site, k, digit, *rot)
+
+    return read, rotate, lambda: None
+
+
+def _contracted_stage(work: np.ndarray, n: int, l: int, k: int):
+    """(read, rotate, finish) of stage k run on per-site unitaries, with
+    the contract of _in_place_stage: ``work`` is only read until finish
+    applies the unitaries to it. Needs l >= 2, so both halves have sites.
+
+    Within a stage the state is (Q_{l-1} x ... x Q_0) work, one n x n
+    unitary Q_s per site, each a product of that site's rotations. Row k
+    of every Q gives the anchor, row d at one site s and row k elsewhere
+    the target with digit d at s. With the sites split into the halves
+    A = 0..h-1 and B = h..l-1, h = l // 2, P = work viewed as
+    (n**(l-h), n**h) and K_H the Kronecker products of those rows over
+    half H (row 0 the anchor's, then one per target on H, ascending), an
+    amplitude is K_B[i] @ P @ K_A[j]: K_A @ x_A gives the anchor and the
+    targets on A, and K_B @ x_B those on B, where x_A = K_B[0] @ P and
+    x_B = P @ K_A[0]. A step rotates two rows of one Q, rebuilds K of
+    that half and refreshes the other half's x by one product with P.
+    """
+    h = l // 2
+    view = work.reshape(n ** (l - h), n ** h)
+    unitaries = np.zeros((l, n, n), np.complex128)
+    unitaries[...] = np.eye(n)
+    touched = set()
+    # The row of Q_s that site s puts in each cross row of its half: k,
+    # except digit d in the row of its target (s, d).
+    per_site = n - 1 - k
+    picks = []
+    for site in range(l):
+        lo, size = (0, h) if site < h else (h, l - h)
+        rows = np.full(1 + size * per_site, k)
+        start = 1 + (site - lo) * per_site
+        rows[start:start + per_site] = np.arange(k + 1, n)
+        picks.append(rows)
+    # K of the sites lo..hi-1 of a half, a node of a balanced tree: a step
+    # rebuilds only the nodes above its site, one broadcast outer product
+    # each, so about log2(|H|) products rather than |H| - 1.
+    nodes = {}
+
+    def cross_rows(lo, hi, site=None):
+        if site is None or lo <= site < hi:
+            if hi - lo == 1:
+                nodes[lo, hi] = unitaries[lo][picks[lo]]
+            else:
+                mid = (lo + hi) // 2
+                low = cross_rows(lo, mid, site)
+                # The higher sites are the more significant digits.
+                nodes[lo, hi] = (cross_rows(mid, hi, site)[:, :, None]
+                                 * low[:, None, :]).reshape(len(low), -1)
+        return nodes[lo, hi]
+
+    kron = [cross_rows(0, h), cross_rows(h, l)]  # K_A, K_B
+    x = [kron[1][0] @ view, view @ kron[0][0]]  # x_A, x_B
+
+    def read():
+        near = kron[0] @ x[0]
+        return near[0], np.concatenate((near[1:], kron[1][1:] @ x[1]))
+
+    def rotate(site, digit, rot):
+        m00, m01, m10, m11 = rot
+        unitary = unitaries[site]
+        row_k = unitary[k].copy()
+        unitary[k] = m00 * row_k + m01 * unitary[digit]
+        unitary[digit] = m10 * row_k + m11 * unitary[digit]
+        touched.add(site)
+        if site < h:
+            kron[0] = cross_rows(0, h, site)
+            x[1] = view @ kron[0][0]
+        else:
+            kron[1] = cross_rows(h, l, site)
+            x[0] = kron[1][0] @ view
+
+    def finish():
+        mixed = apply_site_unitaries(
+            work, n, l, {site: unitaries[site] for site in sorted(touched)})
+        if mixed is not work:
+            work[...] = mixed
+
+    return read, rotate, finish
 
 
 def reduce(state: PureState, strategy: str = "greedy",

@@ -170,9 +170,9 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
     """Mix rows level_a and level_b of ``site_view`` by the 2x2 matrix
     [[m00, m01], [m10, m11]], in place.
 
-    Kernel of apply_plane_rotation and of the elimination loop; trace
-    inversion folds rotations into one unitary per site instead of
-    replaying them through here. No argument validation here. ``amps``
+    Kernel of apply_plane_rotation and of in-place elimination stages;
+    contracted stages and trace inversion fold rotations into one unitary
+    per site instead of replaying them through here. No argument validation here. ``amps``
     must be a contiguous length n**l complex vector.
     """
     v = site_view(amps, n, l, site)

@@ -31,6 +31,7 @@ from quditreduce.reduction import (
     fold_rotations,
     invert_rotations,
 )
+from quditreduce.state import rotate_pair_inplace
 
 from conftest import RECORD, make_records
 
@@ -617,6 +618,123 @@ class TestBoxedStages:
         with pytest.raises(InternalConsistencyError,
                            match=r"stage 1 left an earlier-stage target"):
             reduce(random_state(3, 2, seed=1))
+
+
+def replayed_stages(state, records, reports):
+    """What each stage of a reduction read, recomputed by replaying its
+    own records in place from the input: per stage the anchor magnitude
+    before every step and after the last, the target magnitude each step
+    eliminated and the largest target magnitude left, plus every step's
+    zeroing_rotation entries of the replayed anchor and target."""
+    n, l = state.n, state.l
+    work = state.amplitudes.copy()
+    stages, entries, done = [], [], 0
+    for report in reports:
+        k = report.stage
+        anchor = index_encode((k,) * l, n)
+        anchors, pivots = [abs(work[anchor])], []
+        for step in records[done:done + report.iterations]:
+            _, site, level_a, level_b = step["plane"].tolist()
+            target = work[anchor + (level_b - level_a) * n**site]
+            entries.append(zeroing_rotation(work[anchor], target))
+            pivots.append(abs(target))
+            rotate_pair_inplace(work, n, l, site, level_a, level_b,
+                                *step["entries"].ravel().tolist())
+            anchors.append(abs(work[anchor]))
+        done += report.iterations
+        residual = np.max(np.abs(work[stage_targets(n, l, k)]))
+        stages.append((anchors, pivots, residual))
+    return stages, np.reshape(entries, (-1, 2, 2))
+
+
+class TestContractedStages:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 5), l=st.integers(2, 5),
+           seed=st.integers(0, 2**32 - 1),
+           strategy=st.sampled_from(["greedy", "round-robin"]),
+           cap=st.sampled_from([3, 37, reduction.DEFAULT_MAX_ITERS]),
+           box_min_row=st.sampled_from([0, 2**62]))
+    # Round-robin takes 2,713, 2,291, 3,328 and 267 steps here. Rounding
+    # grows along such slow stages: stage-2 entries of the two drivers lie
+    # 2.2e-11 apart, and the in-place ones 1.9e-11 from a run in
+    # extended precision.
+    @example(n=5, l=5, seed=5, strategy="round-robin",
+             cap=reduction.DEFAULT_MAX_ITERS, box_min_row=0)
+    def test_contracted_run_records_the_same_reduction(self, n, l, seed,
+                                                       strategy, cap,
+                                                       box_min_row):
+        state = random_state(n, l, seed)
+        before = state.amplitudes.copy()
+        contract, calls = reduction._contracted_stage, []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return contract(*args)
+
+        outcomes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "BOX_MIN_ROW", box_min_row)
+            patch.setattr(reduction, "_contracted_stage", counting)
+            for contract_min_row in (-2**62, 2**62):
+                patch.setattr(reduction, "CONTRACT_MIN_ROW", contract_min_row)
+                outcomes.append(reduce_outcome(state, strategy=strategy,
+                                               max_iters_per_stage=cap))
+        (contracted, report, error), (in_place, in_place_report, _) = outcomes
+        assert len(calls) == len(report.stages)
+        assert np.array_equal(state.amplitudes, before)
+        assert np.array_equal(contracted.rotations["plane"],
+                              in_place.rotations["plane"])
+        assert [(s.stage, s.iterations, s.converged) for s in report.stages] \
+            == [(s.stage, s.iterations, s.converged)
+                for s in in_place_report.stages]
+        assert np.max(np.abs(contracted.final_state.amplitudes
+                             - in_place.final_state.amplitudes)) <= 1e-12
+        # Each step's reads, against the state its own rotations make in
+        # place: the step is compared, not the rounding a slow stage
+        # accumulates along the way.
+        stages, entries = replayed_stages(state, contracted.rotations,
+                                          report.stages)
+        assert np.max(np.abs(contracted.rotations["entries"] - entries),
+                      initial=0.0) <= 1e-12
+        for stage, (anchors, pivots, residual) in zip(report.stages, stages):
+            np.testing.assert_allclose(stage.anchor_history, anchors,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stage.pivot_history, pivots,
+                                       rtol=0, atol=1e-12)
+            assert abs(stage.residual - residual) <= 1e-12
+        if error is not None:
+            back = invert_trace(contracted).amplitudes
+            assert np.max(np.abs(back - state.amplitudes)) <= 1e-10
+
+    @pytest.mark.parametrize("n, l", [(2, 10), (4, 3), (3, 4), (8, 2),
+                                      (16, 2), (5, 6), (64, 3), (4, 1)])
+    def test_short_rows_and_long_cross_rows_run_in_place(self, monkeypatch,
+                                                         n, l):
+        # Rows of (64,3) hold 4,096 amplitudes, but K of its two-site half
+        # holds 127 * 4,096 entries.
+        def refuse(*args):
+            raise AssertionError("stage ran contracted")
+
+        monkeypatch.setattr(reduction, "_contracted_stage", refuse)
+        state = product_state(random_product_factors(n, l, seed=n + l))
+        trace, report = reduce(state)
+        assert report.converged and report.support_after == 1
+
+    @pytest.mark.parametrize("n, l", [(2, 16), (4, 8)])
+    def test_long_rows_run_stage_zero_contracted(self, monkeypatch, n, l):
+        # Stage 1 of (4,8) runs on its (3,8) box, whose rows of 2,187 exceed
+        # K by less than CONTRACT_MIN_ROW.
+        contract, seen = reduction._contracted_stage, []
+
+        def recording(work, *args):
+            seen.append((work.size, *args))
+            return contract(work, *args)
+
+        monkeypatch.setattr(reduction, "_contracted_stage", recording)
+        state = product_state(random_product_factors(n, l, seed=n + l))
+        trace, report = reduce(state)
+        assert report.converged and report.support_after == 1
+        assert seen == [(n**l, n, l, 0)]
 
 
 class TestInvertTrace:
