@@ -26,7 +26,6 @@ from .spectral import (
 )
 from .state import (
     PureState,
-    amplitude_at,
     apply_plane_rotation,
     index_decode,
     index_encode,
@@ -45,7 +44,6 @@ __all__ = [
     "NonConvergenceError",
     "OracleFailureError",
     "PureState",
-    "amplitude_at",
     "apply_plane_rotation",
     "hermitian_eigenvalues",
     "index_decode",

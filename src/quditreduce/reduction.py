@@ -11,10 +11,10 @@ after all stages at most n**l - n(n-1)l/2 terms survive.
 
 The anchor and targets of stage k, and every amplitude its rotations
 mix with them, lie in the box of terms whose digits are all >= k: an
-(n-k)-level state on which stage k is stage 0. When kernel rows are
-long, stages k >= 1 run on that box alone, and their rotations reach the
-rest of the vector through one per-site fold at the end. Inversion
-applies the conjugate transpose of the same fold.
+(n-k)-level state on which stage k is stage 0. So every stage k >= 1
+runs on that box alone, and the rotations of those stages reach the rest
+of the vector through one per-site fold at the end. Inversion applies
+the conjugate transpose of the same fold.
 
 Every rotation acts on one site, so within a stage the state is its
 input under one unitary per site. A stage whose kernel rows are long
@@ -47,23 +47,8 @@ DEFAULT_MAX_ITERS = 100000
 #: internally inconsistent.
 PRESERVATION_FACTOR = 10.0
 
-#: Kernel rows (n**(l-1) amplitudes) at least this long run stages k >= 1
-#: on the box of digits >= k. Boxing spares each stage-k rotation the
-#: kernel's pass over 2*(n**(l-1) - (n-k)**(l-1)) row amplitudes outside
-#: the box, and charges it its share of the fold instead. Break-even is
-#: about fold time / kernel time per amplitude. This value was measured on
-#: a 2-vCPU Xeon with a rotation-by-rotation fold of 6-9 us per rotation
-#: (the blocked fold takes 0.25-0.4 us) and a kernel of 7-13 ns per
-#: amplitude at (4,8) and (5,6). 1024 boxes (4,8) and (5,6) (rows of
-#: 16,384 and 3,125) and keeps short rows in place: at l = 2 the box spares
-#: a rotation only 2k amplitudes, and boxed reductions of four (8,2) and
-#: two (16,2) states took a median 1.78 s against 1.37 s in place.
-#: Stage 0 of (4,8) no longer runs the kernel, since it runs contracted
-#: (CONTRACT_MIN_ROW); its later stages, on the (3,8) and (2,8) boxes, do.
-BOX_MIN_ROW = 1024
-
 #: A stage runs contracted (see eliminate_stage) when the kernel rows of
-#: its vector, m**(l-1) amplitudes for m levels, exceed the K of its
+#: its box, m**(l-1) amplitudes for m levels, exceed the K of its
 #: larger half by at least this many amplitudes. An in-place step makes
 #: about ten numpy passes over two rows; a contracted step rebuilds one K,
 #: reads the targets through both and makes one gemv pass over the vector.
@@ -192,32 +177,31 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
                     max_iters: int = DEFAULT_MAX_ITERS) -> StageReport:
     """Drive every stage-k target of an n-level, l-site state below epsilon.
 
-    ``work`` is the flat state, n**l amplitudes, or its box of digits
-    >= k, (n-k)**l amplitudes, told apart by size; any other size is a
-    ValueError. On the box, stage k is stage 0 of an (n-k)-level state
-    whose digit d stands for level d + k. Each step zeroes one target at
-    or above epsilon against the anchor: greedy picks the largest
-    (smallest flat index on ties), round-robin the next one after its
-    previous pick, cycling in flat order. A step never shrinks the
-    anchor, so the eliminated magnitudes are square-summable and the loop
-    terminates for any epsilon > 0 in exact arithmetic; max_iters, an
-    int >= 1, is the practical stop.
+    ``work`` is the state's box of digits >= k, (n-k)**l amplitudes, the
+    whole state at k = 0; any other size is a ValueError. On it, stage k
+    is stage 0 of an m-level state, m = n-k, whose digit d stands for
+    level d + k. Each step zeroes one target at or above epsilon against
+    the anchor: greedy picks the largest (smallest flat index on ties),
+    round-robin the next one after its previous pick, cycling in flat
+    order. A step never shrinks the anchor, so the eliminated magnitudes
+    are square-summable and the loop terminates for any epsilon > 0 in
+    exact arithmetic; max_iters, an int >= 1, is the practical stop.
 
     Where kernel rows are long, the stage runs contracted
-    (_contracted_stage): its steps rotate one m x m unitary per site, m
-    the level count of ``work``, and read the anchor and targets as
-    contractions of the untouched vector, which takes the unitaries once
-    at the end. That is when the rows, m**(l-1) amplitudes, exceed the
-    K of the larger half by at least CONTRACT_MIN_ROW. Otherwise each
-    step runs rotate_pair_inplace on ``work`` (_in_place_stage). Both
-    record the same steps, and their amplitudes agree to rounding.
+    (_contracted_stage): its steps rotate one m x m unitary per site and
+    read the anchor and targets as contractions of the untouched box,
+    which takes the unitaries once at the end. That is when the rows,
+    m**(l-1) amplitudes, exceed the K of the larger half by at least
+    CONTRACT_MIN_ROW. Otherwise each step runs rotate_pair_inplace on
+    ``work`` (_in_place_stage). Both record the same steps, and their
+    amplitudes agree to rounding.
 
     Mixes ``work`` in place, extends the flat lists ``planes`` and
     ``entries`` by each rotation's (stage, site, level_a, level_b) and
     its four zeroing_rotation entries, and returns the StageReport, whose
     ``converged`` is False when max_iters was exhausted first. The
     planes' stage and levels, and the report's stage, are those of the
-    whole state on either vector.
+    whole state.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -227,20 +211,17 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
     if type(max_iters) is not int or max_iters < 1:
         raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
     stage_targets(n, l, k)  # the shape and stage checks
-    offset = 0
-    if work.size != n**l:
-        if work.size != (n - k)**l:
-            raise ValueError(
-                f"stage {k} of an n={n}, l={l} state works on {n**l} or "
-                f"{(n - k)**l} amplitudes, got {work.size}")
-        # The box: stage 0 of an (n-k)-level state, levels shifted by k.
-        offset, n, k = k, n - k, 0
-    # K of the larger half, b sites, holds (1 + b(n-1-k)) * n**b entries.
+    m = n - k
+    if work.size != m**l:
+        raise ValueError(
+            f"stage {k} of an n={n}, l={l} state works on its box of "
+            f"{m**l} amplitudes, got {work.size}")
+    # K of the larger half, b sites, holds (1 + b(m-1)) * m**b entries.
     b = l - l // 2
     driver = _in_place_stage
-    if n ** (l - 1) - (1 + b * (n - 1 - k)) * n**b >= CONTRACT_MIN_ROW:
+    if m ** (l - 1) - (1 + b * (m - 1)) * m**b >= CONTRACT_MIN_ROW:
         driver = _contracted_stage
-    read, rotate, finish = driver(work, n, l, k)
+    read, rotate, finish = driver(work, m, l)
 
     anchor, targets = read()
     anchor_history = [float(abs(anchor))]
@@ -259,50 +240,49 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
             live = np.flatnonzero(mags >= epsilon)
             j = int(live[np.searchsorted(live, cursor) % live.size])
             cursor = j + 1
-        site, digit = divmod(j, n - 1 - k)
-        digit += k + 1
+        site, digit = divmod(j, m - 1)
+        digit += 1
         rot = zeroing_rotation(anchor, targets[j])
         pivot_history.append(float(abs(targets[j])))
         rotate(site, digit, rot)
         anchor, targets = read()
         anchor_history.append(float(abs(anchor)))
-        planes += (k + offset, site, k + offset, digit + offset)
+        planes += (k, site, k, k + digit)
         entries += rot
     finish()
 
     return StageReport(
-        stage=k + offset, iterations=len(pivot_history), residual=residual,
+        stage=k, iterations=len(pivot_history), residual=residual,
         anchor_history=anchor_history, pivot_history=pivot_history,
         converged=converged,
     )
 
 
-def _in_place_stage(work: np.ndarray, n: int, l: int, k: int):
-    """(read, rotate, finish) of stage k run on ``work`` itself: read
-    returns the anchor amplitude and the target amplitudes in ascending
-    flat order, rotate(site, digit, rot) mixes levels k and digit of
-    ``work`` at one site through rotate_pair_inplace, and finish has
-    nothing left to do."""
-    anchor = index_encode((k,) * l, n)
-    flats = stage_targets(n, l, k)
+def _in_place_stage(work: np.ndarray, n: int, l: int):
+    """(read, rotate, finish) of stage 0 of an n-level state run on
+    ``work`` itself: read returns the anchor amplitude, work[0], and the
+    target amplitudes in ascending flat order, rotate(site, digit, rot)
+    mixes levels 0 and digit of ``work`` at one site through
+    rotate_pair_inplace, and finish has nothing left to do."""
+    flats = stage_targets(n, l, 0)
 
     def read():
-        return work[anchor], work[flats]
+        return work[0], work[flats]
 
     def rotate(site, digit, rot):
-        rotate_pair_inplace(work, n, l, site, k, digit, *rot)
+        rotate_pair_inplace(work, n, l, site, 0, digit, *rot)
 
     return read, rotate, lambda: None
 
 
-def _contracted_stage(work: np.ndarray, n: int, l: int, k: int):
-    """(read, rotate, finish) of stage k run on per-site unitaries, with
+def _contracted_stage(work: np.ndarray, n: int, l: int):
+    """(read, rotate, finish) of stage 0 run on per-site unitaries, with
     the contract of _in_place_stage: ``work`` is only read until finish
     applies the unitaries to it. Needs l >= 2, so both halves have sites.
 
     Within a stage the state is (Q_{l-1} x ... x Q_0) work, one n x n
-    unitary Q_s per site, each a product of that site's rotations. Row k
-    of every Q gives the anchor, row d at one site s and row k elsewhere
+    unitary Q_s per site, each a product of that site's rotations. Row 0
+    of every Q gives the anchor, row d at one site s and row 0 elsewhere
     the target with digit d at s. With the sites split into the halves
     A = 0..h-1 and B = h..l-1, h = l // 2, P = work viewed as
     (n**(l-h), n**h) and K_H the Kronecker products of those rows over
@@ -317,15 +297,14 @@ def _contracted_stage(work: np.ndarray, n: int, l: int, k: int):
     unitaries = np.zeros((l, n, n), np.complex128)
     unitaries[...] = np.eye(n)
     touched = set()
-    # The row of Q_s that site s puts in each cross row of its half: k,
+    # The row of Q_s that site s puts in each cross row of its half: 0,
     # except digit d in the row of its target (s, d).
-    per_site = n - 1 - k
     picks = []
     for site in range(l):
         lo, size = (0, h) if site < h else (h, l - h)
-        rows = np.full(1 + size * per_site, k)
-        start = 1 + (site - lo) * per_site
-        rows[start:start + per_site] = np.arange(k + 1, n)
+        rows = np.zeros(1 + size * (n - 1), dtype=int)
+        start = 1 + (site - lo) * (n - 1)
+        rows[start:start + n - 1] = np.arange(1, n)
         picks.append(rows)
     # K of the sites lo..hi-1 of a half, a node of a balanced tree: a step
     # rebuilds only the nodes above its site, one broadcast outer product
@@ -354,9 +333,9 @@ def _contracted_stage(work: np.ndarray, n: int, l: int, k: int):
     def rotate(site, digit, rot):
         m00, m01, m10, m11 = rot
         unitary = unitaries[site]
-        row_k = unitary[k].copy()
-        unitary[k] = m00 * row_k + m01 * unitary[digit]
-        unitary[digit] = m10 * row_k + m11 * unitary[digit]
+        row_0 = unitary[0].copy()
+        unitary[0] = m00 * row_0 + m01 * unitary[digit]
+        unitary[digit] = m10 * row_0 + m11 * unitary[digit]
         touched.add(site)
         if site < h:
             kron[0] = cross_rows(0, h, site)
@@ -380,13 +359,11 @@ def reduce(state: PureState, strategy: str = "greedy",
            support_threshold: float | None = None):
     """Run all stages k = 0 .. n-2 and report the outcome.
 
-    Stage 0 mixes one copy of the input's amplitudes in place. Later
-    stages do too, unless kernel rows hold at least BOX_MIN_ROW
-    amplitudes: then stage k runs on the box of digits >= k, cut from
-    stage k-1's box, and the rotations of stages >= 1 are folded into one
-    unitary per site and applied to the stage-0 vector once. Each stage
-    is one eliminate_stage(box, n, l, k) call, whichever vector ``box``
-    is, and both ways record the same rotations.
+    Stage 0 mixes one copy of the input's amplitudes in place. Each later
+    stage k runs on the box of digits >= k, cut from stage k-1's box, so
+    each stage is one eliminate_stage(box, n, l, k) call. The rotations
+    of stages >= 1 are then folded into one unitary per site and applied
+    to the stage-0 vector once.
 
     Returns (DecompositionTrace, ReductionReport). On the final state, the
     targets of all stages before each completed stage are checked; a
@@ -415,11 +392,10 @@ def reduce(state: PureState, strategy: str = "greedy",
     work = state.amplitudes.copy()
     planes: list[int] = []  # four values per rotation, as in TRACE_RECORD
     entries: list[complex] = []
-    boxed = n ** (l - 1) >= BOX_MIN_ROW
 
     box = work
     for k in range(n - 1):
-        if boxed and k:
+        if k:
             # A contiguous copy of the digits >= 1 of stage k-1's box.
             box = box.reshape((n - k + 1,) * l)[(slice(1, None),) * l].flatten()
         stage = eliminate_stage(box, n, l, k, planes, entries, strategy,
@@ -430,9 +406,8 @@ def reduce(state: PureState, strategy: str = "greedy",
     rotations = np.empty(len(planes) // 4, TRACE_RECORD)
     rotations["plane"] = np.reshape(planes, (-1, 4))
     rotations["entries"] = np.reshape(entries, (-1, 2, 2))
-    if boxed:
-        later = rotations[report.stages[0].iterations:]
-        work = apply_site_unitaries(work, n, l, fold_rotations(later, n))
+    later = rotations[report.stages[0].iterations:]
+    work = apply_site_unitaries(work, n, l, fold_rotations(later, n))
 
     earlier_flats = np.zeros(0, dtype=int)
     for done in report.stages:

@@ -148,16 +148,6 @@ class PureState:
         return PureState(self.n, self.l, self.amplitudes.copy())
 
 
-def amplitude_at(state: PureState, digits) -> complex:
-    """Amplitude of the basis term labelled by ``digits``."""
-    digits = tuple(int(d) for d in digits)
-    if len(digits) != state.l:
-        raise InvalidIndexError(
-            f"expected {state.l} digits, got {len(digits)}"
-        )
-    return complex(state.amplitudes[index_encode(digits, state.n)])
-
-
 def site_view(amps: np.ndarray, n: int, l: int, site: int) -> np.ndarray:
     """The (n**(l-1-site), n, n**site) view of a flat vector, whose middle
     axis is the digit at ``site``: the one map from a site to an axis."""
@@ -172,8 +162,9 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
 
     Kernel of apply_plane_rotation and of in-place elimination stages;
     contracted stages and trace inversion fold rotations into one unitary
-    per site instead of replaying them through here. No argument validation here. ``amps``
-    must be a contiguous length n**l complex vector.
+    per site instead of replaying them through here. No argument
+    validation here. ``amps`` must be a contiguous length n**l complex
+    vector.
     """
     v = site_view(amps, n, l, site)
     # Both rows copied: a strided row in the products costs more.

@@ -10,7 +10,6 @@ from quditreduce import (
     InternalConsistencyError,
     NonConvergenceError,
     PureState,
-    amplitude_at,
     apply_plane_rotation,
     index_decode,
     index_encode,
@@ -66,11 +65,29 @@ def target_plane(flat, n, l, k):
     return site, digits[site]
 
 
+def box_of(amplitudes, n, l, k):
+    """A contiguous copy of the box of digits >= k of a whole vector."""
+    return amplitudes.reshape((n,) * l)[(slice(k, None),) * l].flatten()
+
+
+def replay(work, n, l, records):
+    """Apply ``records`` in order to the whole vector ``work``, in place,
+    through rotate_pair_inplace."""
+    for step in records:
+        _, site, level_a, level_b = step["plane"].tolist()
+        rotate_pair_inplace(work, n, l, site, level_a, level_b,
+                            *step["entries"].ravel().tolist())
+
+
 def eliminate(work, n, l, k, *args, **kwargs):
-    """Stage k on ``work``, in place: (its rotations as records, report)."""
+    """Stage k on the box of the whole vector ``work``, its rotations then
+    replayed onto ``work`` in place: (its rotations as records, report)."""
     planes, entries = [], []
-    report = eliminate_stage(work, n, l, k, planes, entries, *args, **kwargs)
-    return make_records(np.reshape(planes, (-1, 4)), entries), report
+    report = eliminate_stage(box_of(work, n, l, k), n, l, k, planes, entries,
+                             *args, **kwargs)
+    records = make_records(np.reshape(planes, (-1, 4)), entries)
+    replay(work, n, l, records)
+    return records, report
 
 
 def run_stage(state, k, *args, **kwargs):
@@ -246,7 +263,8 @@ class TestEliminateStage:
         _, site, level_a, level_b = rotations["plane"][0].tolist()
         assert site == 0
         assert (level_a, level_b) == (0, 1)
-        assert amplitude_at(out, [0, 0]) == pytest.approx(1.0, abs=1e-15)
+        assert out.amplitudes[index_encode([0, 0], 2)] == \
+            pytest.approx(1.0, abs=1e-15)
         assert support_count(out, 1e-12) == 1
 
     def test_w_state_greedy_converges_monotonically(self):
@@ -368,33 +386,35 @@ class TestEliminateStage:
 
     @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
     def test_stage_k_box_matches_whole_state(self, strategy):
-        # Stage k of the whole state and of its box of digits >= k make
-        # the same steps, bit for bit, and mix the box region alike.
+        # Stage k on its box of digits >= k reads, step by step, what a
+        # replay of its records on the whole state reads, bit for bit, and
+        # mixes the box region alike.
         for n in range(3, 6):
             for l in range(1, 5):
-                amps = random_state(n, l, seed=n * 10 + l).amplitudes
+                state = random_state(n, l, seed=n * 10 + l)
                 for k in range(1, n - 1):
-                    box_region = (slice(k, None),) * l
-                    whole = amps.copy()
-                    whole_rotations, whole_report = eliminate(whole, n, l, k,
-                                                              strategy)
-                    box = amps.reshape((n,) * l)[box_region].flatten()
-                    box_rotations, box_report = eliminate(box, n, l, k,
-                                                          strategy)
-                    assert len(whole_rotations)
-                    assert rotation_fields(box_rotations) == \
-                        rotation_fields(whole_rotations)
-                    assert box_report == whole_report
-                    assert np.array_equal(
-                        whole.reshape((n,) * l)[box_region].ravel(), box)
+                    box = box_of(state.amplitudes, n, l, k)
+                    planes, entries = [], []
+                    report = eliminate_stage(box, n, l, k, planes, entries,
+                                             strategy)
+                    rotations = make_records(np.reshape(planes, (-1, 4)),
+                                             entries)
+                    assert len(rotations)
+                    [(anchors, pivots, peaks)], replayed, whole = \
+                        replayed_stages(state, rotations, [report])
+                    assert rotations["entries"].tobytes() == replayed.tobytes()
+                    assert report.anchor_history == anchors
+                    assert report.pivot_history == pivots
+                    assert report.residual == peaks[-1]
+                    assert np.array_equal(box_of(whole, n, l, k), box)
 
-    @pytest.mark.parametrize("size", [4, 10, 25])
+    @pytest.mark.parametrize("size", [4, 10, 16, 25])
     def test_rejects_work_of_another_size(self, size):
-        # Stage 1 of a (4,2) state takes its 16 amplitudes or its box of
-        # 9; the stage-2 box (4), and any other size, is refused.
+        # Stage 1 of a (4,2) state takes its box of 9 amplitudes; the whole
+        # vector (16), the stage-2 box (4) and any other size are refused.
         work = random_state(size, 1, seed=2).amplitudes
         planes, entries = [], []
-        with pytest.raises(ValueError, match=f"got {size}"):
+        with pytest.raises(ValueError, match=f"box of 9 amplitudes, got {size}"):
             eliminate_stage(work, 4, 2, 1, planes, entries)
         assert planes == [] and entries == []
 
@@ -417,13 +437,10 @@ class TestReduce:
         assert report.bound == 2
 
     @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
-    @pytest.mark.parametrize("n, l, box_min_row", [(2, 5, 1024), (4, 3, 1024),
-                                                   (4, 3, 0), (6, 2, 1024)])
-    def test_trace_is_one_record_array(self, monkeypatch, strategy, n, l,
-                                       box_min_row):
-        # On the whole vector and on the box: one record per step of
-        # every stage, in stage order, each with stage == level_a.
-        monkeypatch.setattr(reduction, "BOX_MIN_ROW", box_min_row)
+    @pytest.mark.parametrize("n, l", [(2, 5), (4, 3), (6, 2)])
+    def test_trace_is_one_record_array(self, strategy, n, l):
+        # One record per step of every stage, in stage order, each with
+        # stage == level_a.
         trace, report = reduce(random_state(n, l, seed=3), strategy=strategy)
         records = trace.rotations
         assert type(records) is np.ndarray
@@ -529,20 +546,6 @@ class TestReduce:
         back = invert_trace(err.trace)
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
 
-    def test_revived_earlier_target_is_inconsistent(self, monkeypatch):
-        eliminate = reduction.eliminate_stage
-
-        def reviving(work, n, l, k, *args):
-            report = eliminate(work, n, l, k, *args)
-            if k == 1:
-                work[1] = 1e-6  # stage-0 target: digit 1 at site 0
-            return report
-
-        monkeypatch.setattr(reduction, "eliminate_stage", reviving)
-        with pytest.raises(InternalConsistencyError,
-                           match=r"stage 1 .* magnitude 1\.000e-06"):
-            reduce(random_state(3, 2, seed=1))
-
 
 def reduce_outcome(state, **kwargs):
     """(trace, report, error text) of reduce, NonConvergenceError included."""
@@ -558,49 +561,62 @@ class TestBoxedStages:
     @pytest.mark.parametrize("strategy", ["greedy", "round-robin"])
     @pytest.mark.parametrize("cap", [3, 10000])
     @pytest.mark.parametrize("clear_stage0", [False, True])
-    def test_box_path_records_the_same_reduction(self, monkeypatch, n, l,
-                                                 strategy, cap, clear_stage0):
+    def test_box_path_records_the_same_reduction(self, n, l, strategy, cap,
+                                                 clear_stage0):
+        # Every stage k >= 1 runs on its box; a replay of the records on
+        # the whole vector must read what each stage read, bit for bit.
         # With no weight on the stage-0 targets, stage 0 takes no step and
-        # a cap of 3 stops a later stage, which runs on the box.
+        # a cap of 3 stops a later stage.
         amps = random_state(n, l, seed=n * 10 + l).amplitudes
         if clear_stage0:
             amps[stage_targets(n, l, 0)] = 0
         state = PureState(n, l, amps / np.linalg.norm(amps))
-        outcomes = []
-        for box_min_row in (0, 2**62):
-            monkeypatch.setattr(reduction, "BOX_MIN_ROW", box_min_row)
-            outcomes.append(reduce_outcome(state, strategy=strategy,
-                                           max_iters_per_stage=cap))
-        (boxed, boxed_report, boxed_error), (flat, flat_report, flat_error) = \
-            outcomes
-        assert boxed_error == flat_error
-        assert rotation_fields(boxed.rotations) == \
-            rotation_fields(flat.rotations)
-        assert boxed_report.stages == flat_report.stages
-        assert (boxed_report.support_before, boxed_report.support_after) == \
-            (flat_report.support_before, flat_report.support_after)
-        np.testing.assert_allclose(boxed_report.stage_preservation,
-                                   flat_report.stage_preservation, atol=1e-14)
-        assert np.max(np.abs(boxed.final_state.amplitudes
-                             - flat.final_state.amplitudes)) <= 1e-14
-        back = invert_trace(boxed).amplitudes
+        trace, report, error = reduce_outcome(state, strategy=strategy,
+                                              max_iters_per_stage=cap)
+        stages, entries, whole = replayed_stages(state, trace.rotations,
+                                                 report.stages)
+        assert (error is None) == all(s.converged for s in report.stages)
+        assert trace.rotations["entries"].tobytes() == entries.tobytes()
+        assert np.array_equal(trace.rotations["plane"][:, 0],
+                              np.repeat([s.stage for s in report.stages],
+                                        [s.iterations for s in report.stages]))
+        for stage, (anchors, pivots, peaks) in zip(report.stages, stages):
+            assert stage.anchor_history == anchors
+            assert stage.pivot_history == pivots
+            assert stage.residual == peaks[-1]
+            assert stage.converged == (peaks[-1] < reduction.DEFAULT_EPSILON)
+            if strategy == "greedy":
+                # Scalar abs and np.abs may differ in the last bit.
+                np.testing.assert_allclose(pivots, peaks[:-1], rtol=1e-15,
+                                           atol=0)
+        assert np.max(np.abs(trace.final_state.amplitudes - whole)) <= 1e-14
+        threshold = report.support_threshold
+        assert report.support_after == \
+            support_count(PureState(n, l, whole), threshold)
+        earlier, preservation = np.zeros(0, dtype=int), []
+        for stage in report.stages[:len(report.stage_preservation)]:
+            preservation.append(np.max(np.abs(whole[earlier]), initial=0.0))
+            earlier = np.concatenate((earlier, stage_targets(n, l, stage.stage)))
+        np.testing.assert_allclose(report.stage_preservation, preservation,
+                                   rtol=0, atol=1e-14)
+        back = invert_trace(trace).amplitudes
         assert np.max(np.abs(back - state.amplitudes)) <= 1e-12
 
-    @pytest.mark.parametrize("extra, sizes", [(0, [64, 27, 8]),
-                                              (1, [64, 64, 64])])
-    def test_row_length_selects_the_box(self, monkeypatch, extra, sizes):
-        # Kernel rows of (4,3) hold 16 amplitudes: at a threshold of 16
-        # stage k runs on the (4-k)**3 box, above it on the whole vector.
+    @pytest.mark.parametrize("n, l", [(2, 10), (4, 3), (3, 4), (8, 2),
+                                      (16, 2), (2, 16), (4, 8), (5, 6),
+                                      (3, 1)])
+    def test_every_stage_runs_on_its_box(self, monkeypatch, n, l):
         eliminate, seen = reduction.eliminate_stage, []
 
         def recording(work, *args):
             seen.append(work.size)
             return eliminate(work, *args)
 
-        monkeypatch.setattr(reduction, "BOX_MIN_ROW", 16 + extra)
         monkeypatch.setattr(reduction, "eliminate_stage", recording)
-        reduce(random_state(4, 3, seed=5))
-        assert seen == sizes
+        state = product_state(random_product_factors(n, l, seed=n + l))
+        trace, report = reduce(state)
+        assert report.converged
+        assert seen == [(n - k)**l for k in range(n - 1)]
 
     def test_revived_earlier_target_is_inconsistent(self, monkeypatch):
         fold = reduction.fold_rotations
@@ -613,7 +629,6 @@ class TestBoxedStages:
             rows[[0, 1]] = rows[[1, 0]]
             return unitaries
 
-        monkeypatch.setattr(reduction, "BOX_MIN_ROW", 0)
         monkeypatch.setattr(reduction, "fold_rotations", reviving)
         with pytest.raises(InternalConsistencyError,
                            match=r"stage 1 left an earlier-stage target"):
@@ -622,29 +637,32 @@ class TestBoxedStages:
 
 def replayed_stages(state, records, reports):
     """What each stage of a reduction read, recomputed by replaying its
-    own records in place from the input: per stage the anchor magnitude
-    before every step and after the last, the target magnitude each step
-    eliminated and the largest target magnitude left, plus every step's
-    zeroing_rotation entries of the replayed anchor and target."""
+    own records in place on the whole vector from the input: per stage
+    the anchor magnitude before every step and after the last, the target
+    magnitude each step eliminated, and the largest target magnitude
+    before every step and after the last; plus every step's
+    zeroing_rotation entries of the replayed anchor and target, and the
+    replayed vector."""
     n, l = state.n, state.l
     work = state.amplitudes.copy()
     stages, entries, done = [], [], 0
     for report in reports:
         k = report.stage
         anchor = index_encode((k,) * l, n)
-        anchors, pivots = [abs(work[anchor])], []
+        flats = stage_targets(n, l, k)
+        anchors, pivots, peaks = [abs(work[anchor])], [], []
         for step in records[done:done + report.iterations]:
             _, site, level_a, level_b = step["plane"].tolist()
+            peaks.append(float(np.max(np.abs(work[flats]))))
             target = work[anchor + (level_b - level_a) * n**site]
             entries.append(zeroing_rotation(work[anchor], target))
             pivots.append(abs(target))
-            rotate_pair_inplace(work, n, l, site, level_a, level_b,
-                                *step["entries"].ravel().tolist())
+            replay(work, n, l, step[None])
             anchors.append(abs(work[anchor]))
         done += report.iterations
-        residual = np.max(np.abs(work[stage_targets(n, l, k)]))
-        stages.append((anchors, pivots, residual))
-    return stages, np.reshape(entries, (-1, 2, 2))
+        peaks.append(float(np.max(np.abs(work[flats]))))
+        stages.append((anchors, pivots, peaks))
+    return stages, np.reshape(entries, (-1, 2, 2)), work
 
 
 class TestContractedStages:
@@ -652,17 +670,15 @@ class TestContractedStages:
     @given(n=st.integers(2, 5), l=st.integers(2, 5),
            seed=st.integers(0, 2**32 - 1),
            strategy=st.sampled_from(["greedy", "round-robin"]),
-           cap=st.sampled_from([3, 37, reduction.DEFAULT_MAX_ITERS]),
-           box_min_row=st.sampled_from([0, 2**62]))
+           cap=st.sampled_from([3, 37, reduction.DEFAULT_MAX_ITERS]))
     # Round-robin takes 2,713, 2,291, 3,328 and 267 steps here. Rounding
     # grows along such slow stages: stage-2 entries of the two drivers lie
     # 2.2e-11 apart, and the in-place ones 1.9e-11 from a run in
     # extended precision.
     @example(n=5, l=5, seed=5, strategy="round-robin",
-             cap=reduction.DEFAULT_MAX_ITERS, box_min_row=0)
+             cap=reduction.DEFAULT_MAX_ITERS)
     def test_contracted_run_records_the_same_reduction(self, n, l, seed,
-                                                       strategy, cap,
-                                                       box_min_row):
+                                                       strategy, cap):
         state = random_state(n, l, seed)
         before = state.amplitudes.copy()
         contract, calls = reduction._contracted_stage, []
@@ -673,7 +689,6 @@ class TestContractedStages:
 
         outcomes = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reduction, "BOX_MIN_ROW", box_min_row)
             patch.setattr(reduction, "_contracted_stage", counting)
             for contract_min_row in (-2**62, 2**62):
                 patch.setattr(reduction, "CONTRACT_MIN_ROW", contract_min_row)
@@ -692,16 +707,16 @@ class TestContractedStages:
         # Each step's reads, against the state its own rotations make in
         # place: the step is compared, not the rounding a slow stage
         # accumulates along the way.
-        stages, entries = replayed_stages(state, contracted.rotations,
-                                          report.stages)
+        stages, entries, _ = replayed_stages(state, contracted.rotations,
+                                             report.stages)
         assert np.max(np.abs(contracted.rotations["entries"] - entries),
                       initial=0.0) <= 1e-12
-        for stage, (anchors, pivots, residual) in zip(report.stages, stages):
+        for stage, (anchors, pivots, peaks) in zip(report.stages, stages):
             np.testing.assert_allclose(stage.anchor_history, anchors,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(stage.pivot_history, pivots,
                                        rtol=0, atol=1e-12)
-            assert abs(stage.residual - residual) <= 1e-12
+            assert abs(stage.residual - peaks[-1]) <= 1e-12
         if error is not None:
             back = invert_trace(contracted).amplitudes
             assert np.max(np.abs(back - state.amplitudes)) <= 1e-10
@@ -734,7 +749,7 @@ class TestContractedStages:
         state = product_state(random_product_factors(n, l, seed=n + l))
         trace, report = reduce(state)
         assert report.converged and report.support_after == 1
-        assert seen == [(n**l, n, l, 0)]
+        assert seen == [(n**l, n, l)]
 
 
 class TestInvertTrace:

@@ -8,7 +8,6 @@ from quditreduce import (
     InvalidIndexError,
     InvalidRotationError,
     PureState,
-    amplitude_at,
     apply_plane_rotation,
     index_decode,
     index_encode,
@@ -211,22 +210,6 @@ class TestApplyPlaneRotation:
             apply_plane_rotation(s, 0, 0, 3, np.eye(2))
 
 
-class TestAmplitudeAt:
-    def test_basis_state(self):
-        s = PureState(2, 2, np.array([1, 0, 0, 0], dtype=complex))
-        assert amplitude_at(s, [0, 0]) == 1
-        assert amplitude_at(s, [1, 0]) == 0
-
-    def test_bell(self):
-        assert amplitude_at(bell(), [1, 1]) == pytest.approx(1 / RT2)
-
-    def test_invalid_digits(self):
-        with pytest.raises(InvalidIndexError):
-            amplitude_at(bell(), [0, 2])
-        with pytest.raises(InvalidIndexError):
-            amplitude_at(bell(), [0, 0, 0])
-
-
 class TestRandomState:
     def test_deterministic(self):
         a = random_state(2, 2, seed=7)
@@ -293,7 +276,7 @@ class TestProductState:
 
     def test_single_term_placement(self):
         s = product_state([[1, 0, 0], [0, 1, 0]])
-        assert amplitude_at(s, [0, 1]) == 1
+        assert s.amplitudes[index_encode([0, 1], 3)] == 1
         assert np.count_nonzero(s.amplitudes) == 1
 
     def test_amplitude_is_factor_product(self):
