@@ -97,13 +97,6 @@ def run_stage(state, k, *args, **kwargs):
     return PureState(state.n, state.l, work), rotations, report
 
 
-def rotation_fields(records):
-    """Every recorded field of each rotation, entries as raw bytes."""
-    return [(*plane, entries.tobytes())
-            for plane, entries in zip(records["plane"].tolist(),
-                                      records["entries"])]
-
-
 def zeroing_matrix(anchor_amp, target_amp):
     """zeroing_rotation's four entries as its 2x2 matrix."""
     return np.reshape(zeroing_rotation(anchor_amp, target_amp), (2, 2))
@@ -590,9 +583,8 @@ class TestBoxedStages:
                 np.testing.assert_allclose(pivots, peaks[:-1], rtol=1e-15,
                                            atol=0)
         assert np.max(np.abs(trace.final_state.amplitudes - whole)) <= 1e-14
-        threshold = report.support_threshold
         assert report.support_after == \
-            support_count(PureState(n, l, whole), threshold)
+            support_count(PureState(n, l, whole), report.support_threshold)
         earlier, preservation = np.zeros(0, dtype=int), []
         for stage in report.stages[:len(report.stage_preservation)]:
             preservation.append(np.max(np.abs(whole[earlier]), initial=0.0))

@@ -21,10 +21,6 @@ from quditreduce.state import (DEFAULT_SIZE_CAP, check_plane, check_shape,
 RT2 = np.sqrt(2.0)
 
 
-def bell():
-    return PureState(2, 2, np.array([1, 0, 0, 1]) / RT2)
-
-
 def random_unitary_2x2(rng):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
