@@ -60,6 +60,10 @@ EXIT_VERIFY_FAILED = 3
 VERIFY_TOL = 1e-9
 #: Oracle-vs-reduction coefficient difference below which ``schmidt`` passes.
 SCHMIDT_TOL = 1e-8
+#: The strategy of ``reduce`` without --strategy, and of ``schmidt``.
+#: Library ``reduce`` keeps greedy, whose step the acceptance criteria
+#: describe.
+DEFAULT_STRATEGY = "newton"
 
 #: The outputs of ``reduce`` in write order: flag -> kind, where the kind
 #: names the default ``<input>.<kind>.json`` and the files --batch skips.
@@ -238,7 +242,7 @@ def cmd_schmidt(args) -> int:
         raise ValueError(f"schmidt cross-check needs a bipartite state (l = 2), "
                          f"got l = {state.l}")
     oracle = schmidt_coefficients(state)
-    trace, _ = reduce(state)
+    trace, _ = reduce(state, strategy=DEFAULT_STRATEGY)
     diag = np.abs(trace.final_state.amplitudes[
         [index_encode((i, i), state.n) for i in range(state.n)]])
     diag = np.sort(diag)[::-1]
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_checked(float, lambda v: 0 < v < math.inf,
                                  "a finite number > 0"),
                    help="convergence threshold on target magnitudes")
-    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
+    p.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
     p.add_argument("--max-iters", default=DEFAULT_MAX_ITERS,
                    type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                    help="elimination cap per stage")

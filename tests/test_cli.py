@@ -155,6 +155,26 @@ class TestReduce:
                      "--trace", str(tr), "--report", str(rep)]) == 0
         assert out.exists() and tr.exists() and rep.exists()
 
+    def test_default_strategy_is_newton(self, tmp_path):
+        path = random_file(tmp_path / "s.json", 4, 3, 1)
+        assert main(["reduce", "--input", str(path)]) == 0
+        report = json.loads((tmp_path / "s.report.json").read_text())
+        assert report["strategy"] == "newton"
+        assert report["converged"]
+        assert sum(s["newton_steps"] for s in report["stages"]) > 0
+
+    def test_greedy_strategy_matches_library_reduce(self, tmp_path):
+        path = random_file(tmp_path / "s.json", 4, 3, 1)
+        assert main(["reduce", "--input", str(path), "--strategy",
+                     "greedy"]) == 0
+        trace, report = reduce(load_state(path)[0])
+        save_trace(tmp_path / "library.json", trace)
+        assert ((tmp_path / "s.trace.json").read_bytes()
+                == (tmp_path / "library.json").read_bytes())
+        written = json.loads((tmp_path / "s.report.json").read_text())
+        assert [s["newton_steps"] for s in written["stages"]] \
+            == [0] * len(report.stages)
+
     def test_round_robin_strategy(self, tmp_path):
         f = np.array([1, 1]) / RT2
         path = tmp_path / "p.json"
@@ -739,6 +759,25 @@ class TestSchmidt:
         assert main(["schmidt", "--input", str(path)]) == 0
         diff = float(capsys.readouterr().out.splitlines()[-1].split()[-1])
         assert diff < 1e-8
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_random_under_the_default_strategy(self, tmp_path, capsys, n):
+        path = random_file(tmp_path / "s.json", n, 2, 1)
+        assert main(["schmidt", "--input", str(path)]) == 0
+        diff = float(capsys.readouterr().out.splitlines()[-1].split()[-1])
+        assert diff < 1e-8
+
+    def test_runs_the_cli_default_strategy(self, tmp_path, monkeypatch):
+        strategies = []
+
+        def recording(state, **kwargs):
+            strategies.append(kwargs["strategy"])
+            return reduce(state, **kwargs)
+
+        monkeypatch.setattr(cli, "reduce", recording)
+        assert main(["schmidt", "--input",
+                     str(bell_file(tmp_path / "bell.json"))]) == 0
+        assert strategies == [cli.DEFAULT_STRATEGY] == ["newton"]
 
     def test_rejects_non_bipartite(self, tmp_path):
         path = random_file(tmp_path / "s.json", 2, 3, 1)

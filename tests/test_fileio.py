@@ -656,6 +656,19 @@ class TestReports:
             assert len(stage["anchor_history"]) == stage["iterations"] + 1
             assert stage["converged"] is True
 
+    @pytest.mark.parametrize("strategy", ["greedy", "round-robin", "newton"])
+    def test_stage_fields_include_newton_steps(self, strategy):
+        _, report = reduce(random_state(4, 3, seed=1), strategy=strategy)
+        doc = report_to_dict(report, tool_version="x", input_digest=None,
+                             seed=None, duration_seconds=0.0)
+        for stage, written in zip(report.stages, doc["stages"]):
+            assert set(written) == {"stage", "iterations", "residual",
+                                    "anchor_history", "pivot_history",
+                                    "converged", "newton_steps"}
+            assert written["newton_steps"] == stage.newton_steps
+        steps = sum(s["newton_steps"] for s in doc["stages"])
+        assert (steps > 0) == (strategy == "newton")
+
 
 def test_file_digest_changes_with_content(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

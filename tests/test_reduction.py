@@ -579,9 +579,7 @@ class TestBoxedStages:
             assert stage.residual == peaks[-1]
             assert stage.converged == (peaks[-1] < reduction.DEFAULT_EPSILON)
             if strategy == "greedy":
-                # Scalar abs and np.abs may differ in the last bit.
-                np.testing.assert_allclose(pivots, peaks[:-1], rtol=1e-15,
-                                           atol=0)
+                assert pivots == peaks[:-1]
         assert np.max(np.abs(trace.final_state.amplitudes - whole)) <= 1e-14
         assert report.support_after == \
             support_count(PureState(n, l, whole), report.support_threshold)
@@ -630,8 +628,9 @@ class TestBoxedStages:
 def replayed_stages(state, records, reports):
     """What each stage of a reduction read, recomputed by replaying its
     own records in place on the whole vector from the input: per stage
-    the anchor magnitude before every step and after the last, the target
-    magnitude each step eliminated, and the largest target magnitude
+    the anchor magnitude before every step and after the last, the
+    magnitude of each step's target, read from np.abs over all targets as
+    eliminate_stage reads it, and the largest target magnitude
     before every step and after the last; plus every step's
     zeroing_rotation entries of the replayed anchor and target, and the
     replayed vector."""
@@ -645,10 +644,11 @@ def replayed_stages(state, records, reports):
         anchors, pivots, peaks = [abs(work[anchor])], [], []
         for step in records[done:done + report.iterations]:
             _, site, level_a, level_b = step["plane"].tolist()
-            peaks.append(float(np.max(np.abs(work[flats]))))
-            target = work[anchor + (level_b - level_a) * n**site]
-            entries.append(zeroing_rotation(work[anchor], target))
-            pivots.append(abs(target))
+            mags = np.abs(work[flats])
+            peaks.append(float(np.max(mags)))
+            j = site * (n - 1 - k) + level_b - level_a - 1
+            entries.append(zeroing_rotation(work[anchor], work[flats[j]]))
+            pivots.append(float(mags[j]))
             replay(work, n, l, step[None])
             anchors.append(abs(work[anchor]))
         done += report.iterations
