@@ -73,11 +73,6 @@ CONTRACT_MIN_ROW = 2048
 #: 8,757, 7,802, 10,930 and 7,461.
 NEWTON_START = 1e-2
 
-#: Newton steps run only in stages of at most this many targets: the
-#: step's real system has twice as many unknowns, and a 512 x 512 system
-#: holds 2 MiB and took 5.6-6.8 ms to solve on a 2-vCPU Xeon.
-NEWTON_MAX_TARGETS = 256
-
 #: One recorded step, in memory and in qudit-trace/2 files: the plane
 #: (stage, site, level_a, level_b), a stage-k step mixing levels (k, target
 #: digit), then its row-major 2x2 unitary, all little-endian (80 bytes).
@@ -211,12 +206,11 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
     Newton takes greedy's steps until the largest target is below tau,
     NEWTON_START at first, then _newton_step's, each of which rotates
     every target at once and records one rotation per target it moves.
-    A Newton step runs only in a stage run in place with at most
-    NEWTON_MAX_TARGETS targets, and only when all its rotations fit under
-    max_iters. Each accepted step lowers the sum of squared target
-    magnitudes; a failed one divides tau by 10, and greedy goes on. The
-    anchor-growth argument above covers greedy's steps only; max_iters
-    still bounds the run.
+    A Newton step runs only in a stage run in place, and only when a
+    rotation of every target would fit under max_iters. Each accepted
+    step lowers the sum of squared target magnitudes; a failed one
+    divides tau by 10, and greedy goes on. The anchor-growth argument
+    above covers greedy's steps only; max_iters still bounds the run.
 
     Where kernel rows are long, the stage runs contracted
     (_contracted_stage): its steps rotate one m x m unitary per site and
@@ -255,8 +249,7 @@ def eliminate_stage(work: np.ndarray, n: int, l: int, k: int,
     read, rotate, finish = driver(work, m, l)
     size = l * (m - 1)
     # A Newton step rotates the box itself, so it runs in place only.
-    polish = (strategy == "newton" and driver is _in_place_stage
-              and size <= NEWTON_MAX_TARGETS)
+    polish = strategy == "newton" and driver is _in_place_stage
     if polish:
         flats = stage_targets(m, l, 0)
         # B's flats, 0 where both targets lie on one site: there B is 0.

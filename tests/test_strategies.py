@@ -155,17 +155,26 @@ def test_each_accepted_newton_step_lowers_the_target_weight(monkeypatch):
     assert all(after < before for before, after in weights)
 
 
-@pytest.mark.parametrize("n, l, newton_max_targets", [(4, 3, 0), (3, 4, 0),
-                                                      (2, 16, None)])
+@pytest.mark.parametrize("n, l, newton_start, cap", [
+    (4, 3, 0.0, reduction.DEFAULT_MAX_ITERS),
+    (3, 4, 0.0, reduction.DEFAULT_MAX_ITERS),
+    (4, 3, None, 8),
+    (3, 4, None, 7),
+    (2, 16, None, reduction.DEFAULT_MAX_ITERS),
+])
 def test_newton_without_newton_steps_is_greedy(monkeypatch, n, l,
-                                               newton_max_targets):
-    # The one stage of (2,16) runs contracted, where Newton never steps.
-    if newton_max_targets is not None:
-        monkeypatch.setattr(reduction, "NEWTON_MAX_TARGETS",
-                            newton_max_targets)
+                                               newton_start, cap):
+    # No target is ever below a start of 0; a cap below the stage's
+    # l*(n-1) targets leaves no room for a Newton step's rotations; and
+    # the one stage of (2,16) runs contracted, where Newton never steps.
+    if newton_start is not None:
+        monkeypatch.setattr(reduction, "NEWTON_START", newton_start)
     state = random_state(n, l, 1)
-    newton, newton_report = reduce(state, strategy="newton")
-    greedy, greedy_report = reduce(state, strategy="greedy")
+    newton, newton_report, newton_raised = reduce_with(
+        state, strategy="newton", max_iters_per_stage=cap)
+    greedy, greedy_report, greedy_raised = reduce_with(
+        state, strategy="greedy", max_iters_per_stage=cap)
+    assert newton_raised == greedy_raised == (cap < l * (n - 1))
     assert newton.rotations.tobytes() == greedy.rotations.tobytes()
     assert np.array_equal(newton.final_state.amplitudes,
                           greedy.final_state.amplitudes)
