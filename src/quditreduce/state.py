@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import CapacityError, InvalidIndexError, InvalidRotationError
 
-#: A basis label: one digit in [0, n) per site, site 0 first.
-MultiIndex = tuple[int, ...]
-
 #: Cap on the number of amplitudes any state may hold.
 DEFAULT_SIZE_CAP = 2**26
 
@@ -66,20 +63,16 @@ def check_unitary(entries) -> None:
 
 def check_plane(n: int, l: int, site, level_a, level_b,
                 what: str = "planes") -> None:
-    """Require 0 <= site < l and 0 <= level_a < level_b < n, of ints or,
-    elementwise, of equal-length integer arrays; an array's error names
-    its first failing plane as what[i]."""
+    """Require 0 <= site < l and 0 <= level_a < level_b < n elementwise
+    over equal-length integer arrays; the error names the first failing
+    plane as what[i]."""
     ok = np.asarray((0 <= site) & (site < l) & (0 <= level_a)
                     & (level_a < level_b) & (level_b < n), dtype=bool)
     if ok.all():
         return
-    where = ""
-    if ok.ndim:
-        i = int(np.argmin(ok))
-        where = f" in {what}[{i}]"
-        site, level_a, level_b = site[i], level_a[i], level_b[i]
-    raise ValueError(f"out-of-range plane{where}: site {site}, levels "
-                     f"({level_a}, {level_b}) for n={n}, l={l}")
+    i = int(np.argmin(ok))
+    raise ValueError(f"out-of-range plane in {what}[{i}]: site {site[i]}, "
+                     f"levels ({level_a[i]}, {level_b[i]}) for n={n}, l={l}")
 
 
 def index_encode(digits, n: int) -> int:
@@ -98,18 +91,6 @@ def index_encode(digits, n: int) -> int:
         flat += d * weight
         weight *= n
     return flat
-
-
-def index_decode(flat: int, n: int, l: int) -> MultiIndex:
-    """Inverse of index_encode: flat index to per-site digits."""
-    flat = int(flat)
-    if not 0 <= flat < check_shape(n, l):
-        raise InvalidIndexError(f"flat index {flat} outside [0, {n}**{l})")
-    digits = []
-    for _ in range(l):
-        flat, d = divmod(flat, n)
-        digits.append(d)
-    return tuple(digits)
 
 
 @dataclass
@@ -137,15 +118,8 @@ class PureState:
         check_normalized(self.amplitudes, "state")
 
     @property
-    def dim(self) -> int:
-        return self.n**self.l
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "PureState":
-        return PureState(self.n, self.l, self.amplitudes.copy())
 
 
 def site_view(amps: np.ndarray, n: int, l: int, site: int) -> np.ndarray:
@@ -160,40 +134,16 @@ def rotate_pair_inplace(amps: np.ndarray, n: int, l: int, site: int,
     """Mix rows level_a and level_b of ``site_view`` by the 2x2 matrix
     [[m00, m01], [m10, m11]], in place.
 
-    Kernel of apply_plane_rotation and of in-place elimination stages;
-    contracted stages and trace inversion fold rotations into one unitary
-    per site instead of replaying them through here. No argument
-    validation here. ``amps`` must be a contiguous length n**l complex
-    vector.
+    Kernel of in-place elimination stages; contracted stages and trace
+    inversion fold rotations into one unitary per site instead of
+    replaying them through here. No argument validation here. ``amps``
+    must be a contiguous length n**l complex vector.
     """
     v = site_view(amps, n, l, site)
     # Both rows copied: a strided row in the products costs more.
     va, vb = v[:, level_a].copy(), v[:, level_b].copy()
     v[:, level_a] = m00 * va + m01 * vb
     v[:, level_b] = m10 * va + m11 * vb
-
-
-def apply_plane_rotation(state: PureState, site: int, level_a: int,
-                         level_b: int, rot) -> PureState:
-    """Apply a 2x2 unitary to span{|level_a>, |level_b>} of one site.
-
-    Acts as ``rot`` on every flat-index pair differing only in the
-    digit at ``site`` (value level_a vs level_b), with the level_a
-    component first; all other amplitudes are untouched. Returns a new
-    state.
-
-    Raises InvalidRotationError when ``rot`` deviates from unitarity by
-    more than 1e-10 (max-entry norm of rot @ rot^dagger - I).
-    """
-    check_plane(state.n, state.l, site, level_a, level_b)
-    rot = np.asarray(rot, dtype=np.complex128)
-    if rot.shape != (2, 2):
-        raise ValueError(f"rotation must be 2x2, got shape {rot.shape}")
-    check_unitary(rot[None])
-    work = state.amplitudes.copy()
-    rotate_pair_inplace(work, state.n, state.l, site, level_a, level_b,
-                        *rot.ravel().tolist())
-    return PureState(state.n, state.l, work)
 
 
 def random_state(n: int, l: int, seed: int) -> PureState:

@@ -10,6 +10,11 @@ from quditreduce.fileio import STATE_FORMAT, STATE_FORMAT_BASE64
 RECORD = np.dtype([("plane", "<i4", (4,)), ("entries", "<c16", (2, 2))])
 
 
+def digits_of(flat, n, l):
+    """Per-site digits of a flat index, site 0 first, from numpy alone."""
+    return tuple(int(d) for d in np.unravel_index(flat, (n,) * l, order="F"))
+
+
 def make_records(planes, entries=None):
     """Records of ``planes`` (stage, site, level_a, level_b), each with
     the identity as its entries unless ``entries`` is given: one 2x2 for

@@ -18,10 +18,9 @@ from quditreduce import (
     random_state,
     reduce,
     schmidt_coefficients,
-    stage_targets,
-    support_count,
     term_bound,
 )
+from quditreduce.reduction import stage_targets, support_count
 
 EPSILON = 1e-12
 MAX_ITERS = 10000

@@ -17,6 +17,7 @@ from quditreduce.errors import InternalConsistencyError, OracleFailureError
 from quditreduce.fileio import (STATE_FORMAT, STATE_FORMAT_BASE64, load_state,
                                 load_trace, save_state, save_trace)
 from quditreduce.reduction import DecompositionTrace
+from quditreduce.state import rotate_pair_inplace
 
 from conftest import make_records, pairs_doc
 
@@ -525,10 +526,11 @@ class TestVerify:
         planes = [(1, 0, 1, 2), (0, 1, 0, 2)]
         unitaries = [np.linalg.qr(np.array([[1, 2j], [3, 4]]))[0],
                      np.linalg.qr(np.array([[2, 1], [1j, 3]]))[0]]
-        reduced = state
+        work = state.amplitudes.copy()
         for (_, site, a, b), unitary in zip(planes, unitaries):
-            reduced = quditreduce.apply_plane_rotation(reduced, site, a, b,
-                                                       unitary)
+            rotate_pair_inplace(work, 3, 2, site, a, b,
+                                *unitary.ravel().tolist())
+        reduced = PureState(3, 2, work)
         original, reduced_path = tmp_path / "o.json", tmp_path / "r.json"
         trace_path = tmp_path / "t.json"
         save_state(original, state)

@@ -10,18 +10,12 @@ from quditreduce import (
     InternalConsistencyError,
     NonConvergenceError,
     PureState,
-    apply_plane_rotation,
-    index_decode,
-    index_encode,
     invert_trace,
     product_state,
     random_state,
     reduce,
     schmidt_coefficients,
-    stage_targets,
-    support_count,
     term_bound,
-    zeroing_rotation,
 )
 from quditreduce.reduction import (
     DecompositionTrace,
@@ -29,10 +23,13 @@ from quditreduce.reduction import (
     eliminate_stage,
     fold_rotations,
     invert_rotations,
+    stage_targets,
+    support_count,
+    zeroing_rotation,
 )
-from quditreduce.state import rotate_pair_inplace
+from quditreduce.state import index_encode, rotate_pair_inplace
 
-from conftest import RECORD, make_records
+from conftest import RECORD, digits_of, make_records
 
 RT2 = np.sqrt(2.0)
 
@@ -59,8 +56,8 @@ def w_state(l):
 
 
 def target_plane(flat, n, l, k):
-    """(site, digit) of a stage-k target, read off its decoded digits."""
-    digits = index_decode(flat, n, l)
+    """(site, digit) of a stage-k target, read off its digits."""
+    digits = digits_of(flat, n, l)
     site = next(i for i, d in enumerate(digits) if d != k)
     return site, digits[site]
 
@@ -150,11 +147,11 @@ class TestStageTargets:
     def test_three_level_pair_stage0(self):
         targets = stage_targets(3, 2, 0)
         assert len(targets) == 4
-        assert [index_decode(f, 3, 2) for f in targets] == \
+        assert [digits_of(f, 3, 2) for f in targets] == \
             [(1, 0), (2, 0), (0, 1), (0, 2)]
 
     def test_three_level_pair_stage1(self):
-        assert [index_decode(f, 3, 2) for f in stage_targets(3, 2, 1)] == \
+        assert [digits_of(f, 3, 2) for f in stage_targets(3, 2, 1)] == \
             [(2, 1), (1, 2)]
 
     @pytest.mark.parametrize("n, l", [(2, 4), (3, 3), (4, 2), (5, 3)])
@@ -180,9 +177,9 @@ class TestStageTargets:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 5))
     def test_matches_digit_definition(self, n, l):
-        # The reference comes from index_decode alone: a stage-k target
+        # The reference comes from np.unravel_index alone: a stage-k target
         # has exactly one digit other than k, and that digit exceeds k.
-        decoded = [index_decode(f, n, l) for f in range(n**l)]
+        decoded = [digits_of(f, n, l) for f in range(n**l)]
         for k in range(n - 1):
             reference = [f for f, digits in enumerate(decoded)
                          if [d > k for d in digits if d != k] == [True]]
@@ -277,32 +274,33 @@ class TestEliminateStage:
         assert len(report.anchor_history) == report.iterations + 1
 
     def test_mass_transfer_per_step(self):
-        # Replay a greedy stage with public primitives and check each
+        # Replay a greedy stage with library primitives and check each
         # elimination moves exactly the target's squared magnitude onto
         # the anchor.
-        s = random_state(2, 3, seed=4)
+        work = random_state(2, 3, seed=4).amplitudes.copy()
         anchor = index_encode([0, 0, 0], 2)
         flats = stage_targets(2, 3, 0)
         for _ in range(400):
-            mags = np.abs(s.amplitudes[flats])
+            mags = np.abs(work[flats])
             j = int(np.argmax(mags))
             if mags[j] < 1e-12:
                 break
-            before_anchor = abs(s.amplitudes[anchor])
-            before_target = abs(s.amplitudes[flats[j]])
-            rot = zeroing_matrix(s.amplitudes[anchor], s.amplitudes[flats[j]])
+            before_anchor = abs(work[anchor])
+            before_target = abs(work[flats[j]])
+            rot = zeroing_matrix(work[anchor], work[flats[j]])
             site, digit = target_plane(flats[j], 2, 3, 0)
-            s = apply_plane_rotation(s, site, 0, digit, rot)
-            after_anchor = abs(s.amplitudes[anchor])
+            rotate_pair_inplace(work, 2, 3, site, 0, digit,
+                                *rot.ravel().tolist())
+            after_anchor = abs(work[anchor])
             assert after_anchor**2 == pytest.approx(
                 before_anchor**2 + before_target**2, abs=1e-12)
-            assert abs(s.amplitudes[flats[j]]) < 1e-14
+            assert abs(work[flats[j]]) < 1e-14
         else:
             pytest.fail("stage did not converge in 400 steps")
 
     @pytest.mark.parametrize("n, l", [(2, 4), (3, 3), (4, 2)])
     def test_round_robin_matches_pass_and_skip_sweep(self, n, l):
-        # Replay round-robin with public primitives as full passes over
+        # Replay round-robin with library primitives as full passes over
         # the targets in flat order, skipping those already below
         # epsilon, until a pass starts with every target below it.
         eps = 1e-12
@@ -311,23 +309,23 @@ class TestEliminateStage:
             out, rotations, report = run_stage(state, k, "round-robin", eps)
             anchor = index_encode([k] * l, n)
             flats = stage_targets(n, l, k)
-            ref, expected = state, []
-            while np.max(np.abs(ref.amplitudes[flats])) >= eps:
+            ref, expected = state.amplitudes.copy(), []
+            while np.max(np.abs(ref[flats])) >= eps:
                 assert len(expected) < 10000, "reference sweep did not converge"
                 for flat in flats:
-                    if abs(ref.amplitudes[flat]) < eps:
+                    if abs(ref[flat]) < eps:
                         continue
-                    rot = zeroing_matrix(ref.amplitudes[anchor],
-                                         ref.amplitudes[flat])
+                    rot = zeroing_matrix(ref[anchor], ref[flat])
                     site, digit = target_plane(flat, n, l, k)
-                    ref = apply_plane_rotation(ref, site, k, digit, rot)
+                    rotate_pair_inplace(ref, n, l, site, k, digit,
+                                        *rot.ravel().tolist())
                     expected.append((site, digit, rot))
             assert report.converged
             assert len(rotations) == len(expected)
             for got, (site, digit, rot) in zip(rotations, expected):
                 assert tuple(got["plane"][1:].tolist()) == (site, k, digit)
                 assert np.array_equal(got["entries"], rot)
-            assert np.array_equal(out.amplitudes, ref.amplitudes)
+            assert np.array_equal(out.amplitudes, ref)
             state = out
 
     def test_anchor_is_real_nonnegative_after_elimination(self):
@@ -788,12 +786,13 @@ def shaped_moves(draw):
 
 def replay_inverse(state, records):
     """Reference inversion: each conjugate transpose through
-    apply_plane_rotation, last rotation first."""
+    rotate_pair_inplace on a copy of ``state``, last rotation first."""
+    work = state.amplitudes.copy()
     for (_, site, level_a, level_b), entries in zip(
             records["plane"].tolist()[::-1], records["entries"][::-1]):
-        state = apply_plane_rotation(state, site, level_a, level_b,
-                                     entries.conj().T)
-    return state.amplitudes
+        rotate_pair_inplace(work, state.n, state.l, site, level_a, level_b,
+                            *entries.conj().T.ravel().tolist())
+    return work
 
 
 class TestInvertRotations:
@@ -817,12 +816,11 @@ class TestInvertRotations:
         assert out is not state.amplitudes
         assert np.max(np.abs(out - replay_inverse(state, rotations))) <= 1e-12
         # The forward fold, as reduce applies it to later stages.
-        forward = state
-        for (_, site, a, b), unitary in zip(planes, unitaries):
-            forward = apply_plane_rotation(forward, site, a, b, unitary)
+        forward = state.amplitudes.copy()
+        replay(forward, n, l, rotations)
         folded = apply_site_unitaries(state.amplitudes.copy(), n, l,
                                       fold_rotations(rotations, n))
-        assert np.max(np.abs(folded - forward.amplitudes)) <= 1e-12
+        assert np.max(np.abs(folded - forward)) <= 1e-12
 
 
 def sequential_fold(records, n):

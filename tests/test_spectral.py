@@ -4,14 +4,13 @@ import pytest
 from quditreduce import (
     OracleFailureError,
     PureState,
-    hermitian_eigenvalues,
     product_state,
     random_state,
     reduce,
-    reduced_density,
     schmidt_coefficients,
 )
 from quditreduce import spectral
+from quditreduce.spectral import hermitian_eigenvalues, reduced_density
 
 RT2 = np.sqrt(2.0)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,15 @@ from quditreduce import (
     InvalidIndexError,
     InvalidRotationError,
     PureState,
-    apply_plane_rotation,
-    index_decode,
-    index_encode,
     product_state,
     random_state,
 )
 from quditreduce import state as state_module
 from quditreduce.state import (DEFAULT_SIZE_CAP, check_plane, check_shape,
-                               check_unitary)
+                               check_unitary, index_encode,
+                               rotate_pair_inplace)
+
+from conftest import digits_of
 
 RT2 = np.sqrt(2.0)
 
@@ -25,6 +27,15 @@ def random_unitary_2x2(rng):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(state, site, level_a, level_b, rot):
+    """A copy of ``state``'s amplitudes after rotate_pair_inplace applies
+    the 2x2 matrix ``rot`` to one plane."""
+    work = state.amplitudes.copy()
+    rotate_pair_inplace(work, state.n, state.l, site, level_a, level_b,
+                        *np.ravel(rot).tolist())
+    return work
 
 
 class TestIndexing:
@@ -38,42 +49,24 @@ class TestIndexing:
     def test_encode(self, digits, n, flat):
         assert index_encode(digits, n) == flat
 
-    @pytest.mark.parametrize("flat, n, l, digits", [
-        (1, 2, 3, (1, 0, 0)),
-        (4, 2, 3, (0, 0, 1)),
-        (5, 3, 2, (2, 1)),
-    ])
-    def test_decode(self, flat, n, l, digits):
-        assert index_decode(flat, n, l) == digits
-
     @pytest.mark.parametrize("n, l", [(2, 10), (3, 5), (5, 3), (7, 2)])
-    def test_round_trip_exhaustive(self, n, l):
-        for flat in range(n**l):
-            assert index_encode(index_decode(flat, n, l), n) == flat
+    def test_encode_matches_numpy_exhaustive(self, n, l):
+        for digits in itertools.product(range(n), repeat=l):
+            assert index_encode(digits, n) == \
+                np.ravel_multi_index(digits, (n,) * l, order="F")
 
     @given(st.integers(2, 6), st.integers(1, 6), st.data())
-    def test_round_trip_property(self, n, l, data):
-        flat = data.draw(st.integers(0, n**l - 1))
-        digits = index_decode(flat, n, l)
-        assert len(digits) == l
-        assert all(0 <= d < n for d in digits)
-        assert index_encode(digits, n) == flat
+    def test_encode_matches_numpy_property(self, n, l, data):
+        digits = data.draw(st.lists(st.integers(0, n - 1), min_size=l,
+                                    max_size=l))
+        assert index_encode(digits, n) == \
+            np.ravel_multi_index(digits, (n,) * l, order="F")
 
     def test_digit_out_of_range(self):
         with pytest.raises(InvalidIndexError):
             index_encode([0, 3], 3)
         with pytest.raises(InvalidIndexError):
             index_encode([-1, 0], 2)
-
-    def test_flat_out_of_range(self):
-        with pytest.raises(InvalidIndexError):
-            index_decode(8, 2, 3)
-        with pytest.raises(InvalidIndexError):
-            index_decode(-1, 2, 3)
-
-    def test_decode_huge_l_is_over_the_cap(self):
-        with pytest.raises(CapacityError):
-            index_decode(0, 3, 10**6)
 
 
 class TestPureState:
@@ -107,26 +100,20 @@ class TestPureState:
         with pytest.raises(CapacityError, match=f"cap {DEFAULT_SIZE_CAP}"):
             PureState(3, 10**6, np.zeros(1))
 
-    def test_copy_is_independent(self):
-        s = random_state(2, 2, seed=0)
-        c = s.copy()
-        c.amplitudes[0] = 0
-        assert s.amplitudes[0] != 0
 
-
-class TestApplyPlaneRotation:
+class TestRotatePairInplace:
     def test_identity_leaves_state_unchanged(self):
         s = random_state(3, 2, seed=1)
-        out = apply_plane_rotation(s, 0, 0, 1, np.eye(2))
-        assert np.array_equal(out.amplitudes, s.amplitudes)
+        out = rotated(s, 0, 0, 1, np.eye(2))
+        assert np.array_equal(out, s.amplitudes)
 
     def test_pair_convention(self):
         # |00> under [[0,1],[-1,0]] at site 0: the (level 0, level 1)
         # component pair maps to (0, -1), so |10> picks up coefficient -1.
         s = PureState(2, 2, np.array([1, 0, 0, 0], dtype=complex))
-        out = apply_plane_rotation(s, 0, 0, 1, np.array([[0, 1], [-1, 0]]))
-        assert out.amplitudes[index_encode([0, 0], 2)] == 0
-        assert out.amplitudes[index_encode([1, 0], 2)] == -1
+        out = rotated(s, 0, 0, 1, np.array([[0, 1], [-1, 0]]))
+        assert out[index_encode([0, 0], 2)] == 0
+        assert out[index_encode([1, 0], 2)] == -1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_norm_preserved_under_random_unitary(self, seed):
@@ -136,30 +123,31 @@ class TestApplyPlaneRotation:
         site = int(rng.integers(0, l))
         a = int(rng.integers(0, n - 1))
         b = int(rng.integers(a + 1, n))
-        out = apply_plane_rotation(s, site, a, b, random_unitary_2x2(rng))
-        assert abs(out.norm - 1.0) < 1e-12
+        out = rotated(s, site, a, b, random_unitary_2x2(rng))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_rotation_then_adjoint_restores(self):
         rng = np.random.default_rng(7)
         s = random_state(3, 3, seed=7)
         rot = random_unitary_2x2(rng)
-        out = apply_plane_rotation(s, 1, 0, 2, rot)
-        back = apply_plane_rotation(out, 1, 0, 2, rot.conj().T)
-        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-13
+        work = s.amplitudes.copy()
+        for entries in rot, rot.conj().T:
+            rotate_pair_inplace(work, 3, 3, 1, 0, 2, *entries.ravel().tolist())
+        assert np.max(np.abs(work - s.amplitudes)) < 1e-13
 
     def test_other_levels_bit_identical(self):
         rng = np.random.default_rng(3)
         s = random_state(3, 3, seed=3)
         site = 1
-        out = apply_plane_rotation(s, site, 0, 2, random_unitary_2x2(rng))
-        for flat in range(s.dim):
-            if index_decode(flat, 3, 3)[site] == 1:
-                assert out.amplitudes[flat] == s.amplitudes[flat]
+        out = rotated(s, site, 0, 2, random_unitary_2x2(rng))
+        for flat in range(27):
+            if digits_of(flat, 3, 3)[site] == 1:
+                assert out[flat] == s.amplitudes[flat]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 4), st.data())
     def test_matches_digit_swap_reference(self, n, l, data):
-        # The reference pairs flat indices through index_decode and
+        # The reference pairs flat indices through np.unravel_index and
         # index_encode only, so it shares no reshape with the kernel: each
         # index with digit a at ``site`` meets the one with digit b there.
         site = data.draw(st.integers(0, l - 1))
@@ -169,41 +157,16 @@ class TestApplyPlaneRotation:
         rot = random_unitary_2x2(np.random.default_rng(seed))
         s = random_state(n, l, seed=seed)
         expected = s.amplitudes.copy()
-        for flat in range(s.dim):
-            digits = index_decode(flat, n, l)
+        for flat in range(n**l):
+            digits = digits_of(flat, n, l)
             if digits[site] == a:
                 partner = index_encode(
                     digits[:site] + (b,) + digits[site + 1:], n)
                 x, y = s.amplitudes[flat], s.amplitudes[partner]
                 expected[flat] = rot[0, 0] * x + rot[0, 1] * y
                 expected[partner] = rot[1, 0] * x + rot[1, 1] * y
-        out = apply_plane_rotation(s, site, a, b, rot)
-        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-14
-
-    def test_rejects_nonunitary(self):
-        s = random_state(2, 2, seed=0)
-        with pytest.raises(InvalidRotationError):
-            apply_plane_rotation(s, 0, 0, 1, np.array([[1, 1e-4], [0, 1]]))
-
-    def test_rejects_nan_rotation(self):
-        s = random_state(2, 2, seed=0)
-        with pytest.raises(InvalidRotationError):
-            apply_plane_rotation(s, 0, 0, 1, np.diag([np.nan, 1.0]))
-
-    def test_accepts_almost_unitary(self):
-        s = random_state(2, 2, seed=0)
-        rot = np.eye(2, dtype=complex)
-        rot[0, 1] = 1e-11
-        apply_plane_rotation(s, 0, 0, 1, rot)
-
-    def test_rejects_bad_site_and_levels(self):
-        s = random_state(3, 2, seed=0)
-        with pytest.raises(ValueError):
-            apply_plane_rotation(s, 2, 0, 1, np.eye(2))
-        with pytest.raises(ValueError):
-            apply_plane_rotation(s, 0, 1, 1, np.eye(2))
-        with pytest.raises(ValueError):
-            apply_plane_rotation(s, 0, 0, 3, np.eye(2))
+        out = rotated(s, site, a, b, rot)
+        assert np.max(np.abs(out - expected)) <= 1e-14
 
 
 class TestRandomState:
@@ -283,7 +246,7 @@ class TestProductState:
             factors.append(f / np.linalg.norm(f))
         s = product_state(factors)
         for flat in range(27):
-            digits = index_decode(flat, 3, 3)
+            digits = digits_of(flat, 3, 3)
             want = np.prod([factors[i][d] for i, d in enumerate(digits)])
             assert s.amplitudes[flat] == pytest.approx(want, abs=1e-15)
 
@@ -318,20 +281,26 @@ class TestCheckUnitary:
                            match=r"2 of 4 rotations not unitary; rotations\[1\]"):
             check_unitary(entries)
 
+    def test_rejects_nonunitary(self):
+        with pytest.raises(InvalidRotationError):
+            check_unitary(np.array([[[1, 1e-4], [0, 1]]], dtype=complex))
+
+    def test_accepts_almost_unitary(self):
+        rot = np.eye(2, dtype=complex)
+        rot[0, 1] = 1e-11
+        check_unitary(rot[None])
+
 
 @pytest.mark.parametrize("site, level_a, level_b", [
     (-1, 0, 1), (2, 0, 1), (0, 1, 1), (0, 2, 1), (0, -1, 1), (0, 0, 3),
 ])
 def test_check_plane_rejects(site, level_a, level_b):
     with pytest.raises(ValueError, match="out-of-range plane"):
-        check_plane(3, 2, site, level_a, level_b)
+        check_plane(3, 2, np.array([site]), np.array([level_a]),
+                    np.array([level_b]))
 
 
-def test_check_plane_scalars_and_arrays():
-    check_plane(3, 2, 1, 0, 2)
-    with pytest.raises(ValueError, match=r"^out-of-range plane: site 2, "
-                                         r"levels \(0, 1\) for n=3, l=2$"):
-        check_plane(3, 2, 2, 0, 1)
+def test_check_plane_arrays():
     site, level_a, level_b = np.array([[0, 1, 2, 0], [0, 1, 0, 3], [1, 2, 1, 1]])
     check_plane(3, 2, site[:2], level_a[:2], level_b[:2])
     check_plane(3, 2, site[:0], level_a[:0], level_b[:0])
@@ -352,9 +321,9 @@ def test_check_plane_scalars_and_arrays():
 @given(st.integers(0, 2**16 - 1))
 def test_rotation_composition_preserves_norm(seed):
     rng = np.random.default_rng(seed)
-    s = random_state(3, 2, seed=seed)
+    work = random_state(3, 2, seed=seed).amplitudes.copy()
     for _ in range(3):
-        s = apply_plane_rotation(s, int(rng.integers(0, 2)), 0,
-                                 int(rng.integers(1, 3)),
-                                 random_unitary_2x2(rng))
-    assert abs(s.norm - 1.0) < 1e-12
+        rotate_pair_inplace(work, 3, 2, int(rng.integers(0, 2)), 0,
+                            int(rng.integers(1, 3)),
+                            *random_unitary_2x2(rng).ravel().tolist())
+    assert abs(np.linalg.norm(work) - 1.0) < 1e-12

@@ -13,12 +13,11 @@ from quditreduce import (
     product_state,
     random_state,
     reduce,
-    stage_targets,
-    support_count,
     term_bound,
 )
 from quditreduce import reduction
-from quditreduce.reduction import STRATEGIES, check_stages
+from quditreduce.reduction import (STRATEGIES, check_stages, stage_targets,
+                                   support_count)
 from quditreduce.state import check_unitary
 
 
