@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ class TestIndexing:
         ([2, 1], 3, 5),
         ([0, 0, 0], 2, 0),
         ([1, 1, 1], 2, 7),
+        ([1, 0, 0], 2, 1),
+        ([0, 0, 1], 2, 4),
     ])
     def test_encode(self, digits, n, flat):
         assert index_encode(digits, n) == flat
@@ -207,7 +210,7 @@ class TestCheckShape:
         assert check_shape(3, 2) == 9
 
     @pytest.mark.parametrize("n, l", [
-        (2, 27), (3, 17), (10**9, 1),
+        (2, 27), (3, 17), (10**9, 1), (3, 10**6),
         # 2**(10**18) cannot be formed at all; it must not be tried.
         (2, 10**18),
     ])
@@ -289,6 +292,16 @@ class TestCheckUnitary:
         rot = np.eye(2, dtype=complex)
         rot[0, 1] = 1e-11
         check_unitary(rot[None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_rejects_nonfinite_without_warning(self, bad):
+        # NaN, infinity and an entry whose square overflows all fail the
+        # check as a defect, not as a floating-point warning.
+        rot = np.diag([bad, 1.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidRotationError, match=r"rotations\[0\]"):
+                check_unitary(rot[None])
 
 
 @pytest.mark.parametrize("site, level_a, level_b", [
